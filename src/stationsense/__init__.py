@@ -7,19 +7,7 @@ supervised sensing head trained with station-wise masking augmentation ->
 an evaluation harness that sweeps station availability and label budget.
 """
 
-from .core import (
-    CsiFrame,
-    LabeledSample,
-    MaskSet,
-    MultiStationSample,
-    RandomStream,
-    StationId,
-    StationSample,
-    apply_embedding_mask,
-    apply_input_mask,
-    sample_mask_matrix,
-    sample_mask_set,
-)
+from .core import RandomStream, sample_mask_matrix
 from .synth import (
     CsiStream,
     OutageSpec,
@@ -33,17 +21,14 @@ from .pipeline import (
     Dataset,
     DatasetFormatError,
     WindowSpec,
-    aggregate_window,
     build_labeled_dataset,
     build_unlabeled_dataset,
     default_keep_list,
-    detect_missing,
     export_csv,
     load_dataset,
     normalize_power,
     preprocess_stream,
     save_dataset,
-    select_subcarriers,
 )
 from .nnkit import (
     CheckpointError,
@@ -52,17 +37,13 @@ from .nnkit import (
     TrainConfig,
     TrainingDiverged,
     finite_diff_check,
-    load_stack,
-    save_stack,
 )
 from .crossl import (
     FACTORY_VICREG,
     FeatureExtractor,
     VicregWeights,
     build_extractor,
-    load_extractor,
     pretrain,
-    save_extractor,
     vicreg_loss,
     vicreg_loss_grads,
 )
@@ -75,10 +56,8 @@ from .downstream import (
     SensingModel,
     build_head,
     constant_baseline,
-    load_model,
-    random_erase,
-    save_model,
-    sma_augment,
+    load_checkpoint,
+    save_checkpoint,
     train_dae,
     train_downstream,
     train_ensemble,

@@ -13,19 +13,13 @@ import numpy as np
 
 from .config import RunConfig, config_to_dict, dump_config, load_config
 from .core import RandomStream
-from .crossl import (
-    VicregWeights,
-    build_extractor,
-    load_extractor,
-    pretrain,
-    save_extractor,
-)
+from .crossl import VicregWeights, build_extractor, pretrain
 from .downstream import (
     AugmentConfig,
     SensingModel,
     build_head,
-    load_model,
-    save_model,
+    load_checkpoint,
+    save_checkpoint,
     train_downstream,
 )
 from .harness import (
@@ -137,7 +131,7 @@ def cmd_pretrain(args):
         embedding_dim=tr.embedding_dim, aggregator_hidden=tr.aggregator_hidden,
     )
     result = pretrain(fx, unlabeled, args.p_mask, w, tc, rng.child("fit"))
-    save_extractor(
+    save_checkpoint(
         fx, args.out,
         meta={"p_mask": args.p_mask, "vicreg": [w.lam, w.mu, w.nu, w.gamma, w.epsilon],
               "seed": args.seed, "epochs": len(result.history),
@@ -165,7 +159,7 @@ def cmd_train(args):
         )
         feat_dim = fx.embedding_dim
     else:
-        fx = load_extractor(args.extractor)
+        fx = load_checkpoint(args.extractor, "feature_extractor")
         feat_dim = fx.embedding_dim
     head = build_head(feat_dim, rng.child("init/head"))
     model = SensingModel(fx, head, args.mode)
@@ -179,7 +173,7 @@ def cmd_train(args):
     if args.lr is not None:
         tc = type(tc)(args.lr, tc.batch_size, tc.max_epochs, tc.patience)
     result = train_downstream(model, labeled, aug, tc, rng)
-    save_model(
+    save_checkpoint(
         model, args.out,
         meta={"aug": args.aug, "p_mask": args.p_mask, "mode": args.mode,
               "label_ratio": args.label_ratio, "seed": args.seed,
@@ -189,7 +183,7 @@ def cmd_train(args):
 
 
 def cmd_evaluate(args):
-    model = load_model(args.model)
+    model = load_checkpoint(args.model, "sensing_model")
     test = load_dataset(args.dataset)
     rows = []
     for k in args.k:
@@ -229,7 +223,7 @@ def cmd_sweep(args):
 def cmd_pca_export(args):
     train = load_dataset(args.train)
     test = load_dataset(args.test)
-    fx = load_extractor(args.extractor) if args.extractor else None
+    fx = load_checkpoint(args.extractor, "feature_extractor") if args.extractor else None
 
     def vectors(d: Dataset, mask_to_k):
         x = d.x.astype(np.float32)
@@ -288,8 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None, help="YAML run configuration")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-dir", default="out")
-    p.add_argument("--threads", type=int, default=None,
-                   help="BLAS thread cap (best effort; set OMP_NUM_THREADS for guarantees)")
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("simulate", help="generate frames/trajectory CSVs")
@@ -358,13 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.threads is not None:
-        try:
-            from threadpoolctl import threadpool_limits
-
-            threadpool_limits(args.threads)
-        except ImportError:
-            print("threadpoolctl unavailable; --threads ignored", file=sys.stderr)
     args.func(args)
     return 0
 

@@ -1,16 +1,12 @@
-"""Domain types, deterministic RNG streams, and the two masking primitives.
+"""Deterministic RNG streams and station-mask sampling.
 
-Everything downstream (simulation, dataset building, training) is built on the
-types here. Missingness is carried as an explicit flag next to the zero
-placeholder so that a legitimately all-zero observed vector is never confused
-with a missing one.
+Every stage (simulation, dataset building, training, evaluation) draws its
+randomness from a labeled `RandomStream`, so a seed reproduces a run bitwise.
 """
 
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -62,173 +58,10 @@ class RandomStream:
         return f"RandomStream(seed={self.seed}, label={self.label!r})"
 
 
-@dataclass(frozen=True)
-class StationId:
-    index: int
-
-    def __post_init__(self):
-        if self.index < 0:
-            raise ValueError(f"station index must be non-negative, got {self.index}")
-
-
-@dataclass(frozen=True)
-class CsiFrame:
-    """One timestamped complex channel snapshot from one station."""
-
-    station: int
-    timestamp: float
-    values: np.ndarray  # complex, length k_raw
-
-    def __post_init__(self):
-        if self.timestamp < 0:
-            raise ValueError("timestamp must be >= 0")
-        v = np.asarray(self.values)
-        if not np.all(np.isfinite(v.real)) or not np.all(np.isfinite(v.imag)):
-            raise ValueError("frame values must be finite")
-
-
-@dataclass(frozen=True)
-class MaskSet:
-    """A subset of station indices, used both for sampled masks and for
-    describing observed missingness / availability."""
-
-    members: frozenset
-
-    @staticmethod
-    def of(indices: Iterable[int]) -> "MaskSet":
-        return MaskSet(frozenset(int(i) for i in indices))
-
-    @staticmethod
-    def empty() -> "MaskSet":
-        return MaskSet(frozenset())
-
-    def union(self, other: "MaskSet") -> "MaskSet":
-        return MaskSet(self.members | other.members)
-
-    def __contains__(self, idx: int) -> bool:
-        return idx in self.members
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __iter__(self):
-        return iter(sorted(self.members))
-
-    def validate(self, n_stations: int) -> None:
-        if self.members and (min(self.members) < 0 or max(self.members) >= n_stations):
-            raise ValueError(
-                f"mask members {sorted(self.members)} outside [0, {n_stations})"
-            )
-
-
-@dataclass(frozen=True)
-class StationSample:
-    """Either an observed aggregated amplitude vector or the missing
-    placeholder (an all-zero vector of the same length)."""
-
-    values: np.ndarray  # non-negative amplitudes, length K
-    missing: bool = False
-
-    @staticmethod
-    def observed(values: np.ndarray) -> "StationSample":
-        v = np.asarray(values, dtype=float)
-        if not np.all(np.isfinite(v)):
-            raise ValueError("amplitude vector must be finite")
-        if np.any(v < 0):
-            raise ValueError("amplitude vector must be non-negative")
-        return StationSample(v, missing=False)
-
-    @staticmethod
-    def absent(k: int) -> "StationSample":
-        return StationSample(np.zeros(k, dtype=float), missing=True)
-
-
-@dataclass(frozen=True)
-class MultiStationSample:
-    """Stacked per-station aggregated amplitude vectors for one sample."""
-
-    stations: tuple  # tuple of StationSample, length N_d
-
-    @property
-    def n_stations(self) -> int:
-        return len(self.stations)
-
-    @property
-    def k(self) -> int:
-        return len(self.stations[0].values)
-
-    @property
-    def observed_missing(self) -> MaskSet:
-        return MaskSet.of(i for i, s in enumerate(self.stations) if s.missing)
-
-    def matrix(self) -> np.ndarray:
-        """(N_d, K) float matrix; missing stations are zero rows."""
-        return np.stack([s.values for s in self.stations])
-
-
-@dataclass(frozen=True)
-class LabeledSample:
-    input: MultiStationSample
-    label: float
-
-    def __post_init__(self):
-        if not np.isfinite(self.label) or not (0.0 <= self.label <= 1.0):
-            raise ValueError(f"label must be finite in [0, 1], got {self.label}")
-
-
-@dataclass(frozen=True)
-class EmbeddingBatch:
-    """n x l batch of global embeddings; n >= 2 for variance/covariance terms."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix)
-        if m.ndim != 2:
-            raise ValueError("embedding batch must be 2-D")
-        if not np.all(np.isfinite(m)):
-            raise ValueError("embedding batch must be finite")
-
-
-def sample_mask_set(p_mask: float, n_stations: int, rng: RandomStream) -> MaskSet:
-    """Draw an i.i.d. Bernoulli(p_mask) masking set over station indices.
-
-    Consumes exactly n_stations draws from `rng`.
-    """
-    if not (0.0 <= p_mask <= 1.0):
-        raise ValueError(f"p_mask must be in [0, 1], got {p_mask}")
-    if n_stations < 1:
-        raise ValueError("n_stations must be >= 1")
-    u = rng.random(n_stations)
-    return MaskSet.of(np.nonzero(u < p_mask)[0])
-
-
 def sample_mask_matrix(p_mask: float, n: int, n_stations: int, rng: RandomStream) -> np.ndarray:
-    """Batched variant of sample_mask_set: (n, n_stations) boolean matrix."""
+    """(n, n_stations) boolean matrix of i.i.d. Bernoulli(p_mask) station
+    masks. Consumes exactly n * n_stations draws from `rng`, row by row."""
     if not (0.0 <= p_mask <= 1.0):
         raise ValueError(f"p_mask must be in [0, 1], got {p_mask}")
     return rng.random((n, n_stations)) < p_mask
 
-
-def apply_input_mask(x: MultiStationSample, m: MaskSet) -> MultiStationSample:
-    """Replace the stations in `m` with the zero placeholder (input level).
-
-    Idempotent on already-missing stations; observed_missing of the result is
-    the union of x.observed_missing and m.
-    """
-    m.validate(x.n_stations)
-    k = x.k
-    stations = tuple(
-        StationSample.absent(k) if i in m else s for i, s in enumerate(x.stations)
-    )
-    return MultiStationSample(stations)
-
-
-def apply_embedding_mask(q: Sequence[np.ndarray], m: MaskSet) -> list:
-    """Replace embedding vectors at indices in `m` with zeros; others returned
-    unchanged (embedding level)."""
-    m.validate(len(q))
-    out = []
-    for i, v in enumerate(q):
-        out.append(np.zeros_like(v) if i in m else v)
-    return out

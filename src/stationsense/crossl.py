@@ -13,22 +13,8 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .core import (
-    MaskSet,
-    MultiStationSample,
-    RandomStream,
-    apply_embedding_mask,
-    sample_mask_matrix,
-)
-from .nnkit import (
-    FitResult,
-    MlpStack,
-    TrainConfig,
-    fit_loop,
-    mlp_blocks,
-    read_bundle,
-    write_bundle,
-)
+from .core import RandomStream, sample_mask_matrix
+from .nnkit import FitResult, MlpStack, TrainConfig, fit_loop, mlp_blocks
 from .pipeline import Dataset
 
 
@@ -253,33 +239,6 @@ def build_extractor(
     return FeatureExtractor(n_stations, input_dim, aggregator, encoders, enc_dim, embedding_dim)
 
 
-# per-sample views of the two extractor stages (batch versions above do the
-# heavy lifting during training)
-
-
-def encode_stations(fx: FeatureExtractor, x: MultiStationSample, mode: str = "eval",
-                    rng: Optional[RandomStream] = None) -> List[np.ndarray]:
-    q, _ = fx.encode_batch(x.matrix()[None, :, :], mode, rng)
-    return [q[0, d] for d in range(fx.n_stations)]
-
-
-def aggregate(fx: FeatureExtractor, q: List[np.ndarray], mode: str = "eval",
-              rng: Optional[RandomStream] = None) -> np.ndarray:
-    if len(q) != fx.n_stations:
-        raise ValueError(f"expected {fx.n_stations} station embeddings, got {len(q)}")
-    z, _ = fx.aggregate_batch(np.stack(q)[None, :, :], mode, rng)
-    return z[0]
-
-
-def masked_views(fx: FeatureExtractor, x: MultiStationSample, m1: MaskSet, m2: MaskSet,
-                 mode: str = "eval", rng: Optional[RandomStream] = None):
-    """The two masked global embeddings for one sample (diagnostic helper)."""
-    q = encode_stations(fx, x, mode, rng)
-    z1 = aggregate(fx, apply_embedding_mask(q, m1), mode, rng)
-    z2 = aggregate(fx, apply_embedding_mask(q, m2), mode, rng)
-    return z1, z2
-
-
 def pretrain(
     fx: FeatureExtractor,
     unlabeled: Dataset,
@@ -319,49 +278,3 @@ def pretrain(
         return loss, grads
 
     return fit_loop(fx.params(), step, unlabeled.n, tc, rng.child("pretrain"), fx.buffers())
-
-
-# ---------------------------------------------------------------------------
-# extractor checkpoints
-# ---------------------------------------------------------------------------
-
-
-def save_extractor(fx: FeatureExtractor, path, meta: Optional[dict] = None) -> None:
-    manifest = {
-        "type": "feature_extractor",
-        "n_stations": fx.n_stations,
-        "input_dim": fx.input_dim,
-        "encoder_dim": fx.encoder_dim,
-        "embedding_dim": fx.embedding_dim,
-        "aggregator": fx.aggregator.manifest(),
-        "encoders": None if fx.encoders is None else [e.manifest() for e in fx.encoders],
-        "meta": meta or {},
-    }
-    arrays = {f"param:{k}": v for k, v in fx.params().items()}
-    arrays.update({f"buffer:{k}": v for k, v in fx.buffers().items()})
-    write_bundle(path, manifest, arrays)
-
-
-def load_extractor(path) -> FeatureExtractor:
-    manifest, arrays = read_bundle(path)
-    if manifest.get("type") != "feature_extractor":
-        raise ValueError("not a feature extractor checkpoint")
-    aggregator = MlpStack.from_manifest(manifest["aggregator"])
-    encoders = None
-    if manifest["encoders"] is not None:
-        encoders = [MlpStack.from_manifest(m) for m in manifest["encoders"]]
-    fx = FeatureExtractor(
-        manifest["n_stations"],
-        manifest["input_dim"],
-        aggregator,
-        encoders,
-        manifest["encoder_dim"],
-        manifest["embedding_dim"],
-    )
-    params = {k[6:]: v for k, v in arrays.items() if k.startswith("param:")}
-    buffers = {k[7:]: v for k, v in arrays.items() if k.startswith("buffer:")}
-    for name, p in fx.params().items():
-        p[...] = params[name]
-    for name, b in fx.buffers().items():
-        b[...] = buffers[name]
-    return fx

@@ -10,17 +10,11 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .core import (
-    MaskSet,
-    MultiStationSample,
-    RandomStream,
-    apply_input_mask,
-    sample_mask_matrix,
-    sample_mask_set,
-)
+from .core import RandomStream, sample_mask_matrix
 from .crossl import FeatureExtractor, build_extractor
 from .nnkit import (
     BatchNorm,
+    CheckpointError,
     Dense,
     Dropout,
     FitResult,
@@ -31,6 +25,8 @@ from .nnkit import (
     masked_mse_loss,
     mlp_head,
     mse_loss,
+    read_bundle,
+    write_bundle,
 )
 from .pipeline import Dataset
 
@@ -63,39 +59,9 @@ class AugmentConfig:
 # ---------------------------------------------------------------------------
 
 
-def sma_augment(x: MultiStationSample, p_mask: float, rng: RandomStream) -> MultiStationSample:
-    """Zero whole stations, each independently with probability p_mask."""
-    return apply_input_mask(x, sample_mask_set(p_mask, x.n_stations, rng))
-
-
 def sma_augment_batch(xb: np.ndarray, p_mask: float, rng: RandomStream) -> np.ndarray:
     mask = sample_mask_matrix(p_mask, xb.shape[0], xb.shape[1], rng)
     return xb * (~mask)[:, :, None]
-
-
-def random_erase(
-    x: MultiStationSample, s_l: float, s_h: float, rng: RandomStream
-) -> MultiStationSample:
-    """Per observed station, zero one contiguous subcarrier run whose length
-    fraction is drawn from U[s_l, s_h]. Missing stations are untouched."""
-    if not (0.0 <= s_l <= s_h <= 1.0):
-        raise ValueError("require 0 <= s_l <= s_h <= 1")
-    k = x.k
-    stations = []
-    for s in x.stations:
-        if s.missing:
-            stations.append(s)
-            continue
-        f = rng.uniform(s_l, s_h)
-        run = int(np.ceil(f * k))
-        if run == 0:
-            stations.append(s)
-            continue
-        start = int(rng.integers(0, k - run + 1))
-        v = s.values.copy()
-        v[start : start + run] = 0.0
-        stations.append(type(s)(v, missing=False))
-    return MultiStationSample(tuple(stations))
 
 
 def random_erase_batch(
@@ -151,9 +117,6 @@ class SensingModel:
             feats = self.extractor.embed(xb, "eval")
         out, _ = self.head.forward(feats, "eval", None)
         return out[:, 0]
-
-    def predict_sample(self, x: MultiStationSample) -> float:
-        return float(self.predict(x.matrix()[None, :, :])[0])
 
 
 def build_head(n_in: int, rng: RandomStream, hidden: int = HEAD_HIDDEN) -> MlpStack:
@@ -227,10 +190,6 @@ def train_downstream(
     return fit_loop(params, step, len(x), tc, rng.child("downstream"), buffers)
 
 
-def predict(model: SensingModel, x: MultiStationSample) -> float:
-    return model.predict_sample(x)
-
-
 # ---------------------------------------------------------------------------
 # baselines
 # ---------------------------------------------------------------------------
@@ -244,9 +203,6 @@ class ConstantModel:
 
     def predict(self, xb: np.ndarray) -> np.ndarray:
         return np.full(np.asarray(xb).shape[0], self.value)
-
-    def predict_sample(self, x: MultiStationSample) -> float:
-        return self.value
 
 
 def constant_baseline(value: float = 0.5) -> ConstantModel:
@@ -290,9 +246,6 @@ class EnsembleModel:
             m.predict(xb[:, d : d + 1, :]) for d, m in enumerate(self.members)
         ]
         return np.mean(preds, axis=0)
-
-    def predict_sample(self, x: MultiStationSample) -> float:
-        return float(self.predict(x.matrix()[None, :, :])[0])
 
 
 def train_ensemble(labeled: Dataset, tc: TrainConfig, rng: RandomStream) -> EnsembleModel:
@@ -388,16 +341,6 @@ def inpaint_batch(reconstructor: DaeModel, xb: np.ndarray, missing: np.ndarray) 
     return out
 
 
-def inpaint_predict(
-    model, reconstructor: DaeModel, x: MultiStationSample
-) -> float:
-    """Recover missing stations with the encoder-decoder, then predict."""
-    xb = x.matrix()[None, :, :].astype(np.float32)
-    miss = np.array([[d in x.observed_missing for d in range(x.n_stations)]])
-    filled = inpaint_batch(reconstructor, xb, miss)
-    return float(model.predict(filled)[0])
-
-
 class InpaintingModel:
     """Naive supervised predictor preceded by reconstruction of any missing
     (all-zero flagged) stations."""
@@ -413,64 +356,95 @@ class InpaintingModel:
             missing = np.all(xb == 0.0, axis=2)
         return self.base.predict(inpaint_batch(self.reconstructor, xb, missing))
 
-    def predict_sample(self, x: MultiStationSample) -> float:
-        return float(self.predict(x.matrix()[None, :, :])[0])
-
 
 # ---------------------------------------------------------------------------
-# model checkpoints
+# checkpoints: one manifest-driven codec for extractors and sensing models
 # ---------------------------------------------------------------------------
 
+_CHECKPOINT_TYPES = ("feature_extractor", "sensing_model")
 
-def save_model(model: SensingModel, path, meta: Optional[dict] = None) -> None:
-    from .nnkit import write_bundle
 
-    manifest = {
-        "type": "sensing_model",
-        "mode": model.mode,
-        "head": model.head.manifest(),
-        "extractor": None,
-        "meta": meta or {},
+def _extractor_manifest(fx: FeatureExtractor) -> dict:
+    return {
+        "n_stations": fx.n_stations,
+        "input_dim": fx.input_dim,
+        "encoder_dim": fx.encoder_dim,
+        "embedding_dim": fx.embedding_dim,
+        "aggregator": fx.aggregator.manifest(),
+        "encoders": None if fx.encoders is None else [e.manifest() for e in fx.encoders],
     }
-    arrays = {f"head/param:{k}": v for k, v in model.head.params().items()}
-    arrays.update({f"head/buffer:{k}": v for k, v in model.head.buffers().items()})
-    fx = model.extractor
-    if fx is not None:
-        manifest["extractor"] = {
-            "n_stations": fx.n_stations,
-            "input_dim": fx.input_dim,
-            "encoder_dim": fx.encoder_dim,
-            "embedding_dim": fx.embedding_dim,
-            "aggregator": fx.aggregator.manifest(),
-            "encoders": None if fx.encoders is None else [e.manifest() for e in fx.encoders],
+
+
+def _extractor_from_manifest(m: dict) -> FeatureExtractor:
+    encoders = None
+    if m["encoders"] is not None:
+        encoders = [MlpStack.from_manifest(e) for e in m["encoders"]]
+    return FeatureExtractor(
+        m["n_stations"], m["input_dim"], MlpStack.from_manifest(m["aggregator"]), encoders,
+        m["encoder_dim"], m["embedding_dim"],
+    )
+
+
+def _named_arrays(prefix: str, part) -> Dict[str, np.ndarray]:
+    out = {f"{prefix}param:{k}": v for k, v in part.params().items()}
+    out.update({f"{prefix}buffer:{k}": v for k, v in part.buffers().items()})
+    return out
+
+
+def _bundle(obj) -> Tuple[dict, Dict[str, np.ndarray]]:
+    """Manifest (without meta) and named arrays of a checkpointable object."""
+    if isinstance(obj, FeatureExtractor):
+        return {"type": "feature_extractor", **_extractor_manifest(obj)}, _named_arrays("", obj)
+    if isinstance(obj, SensingModel):
+        fx = obj.extractor
+        manifest = {
+            "type": "sensing_model",
+            "mode": obj.mode,
+            "head": obj.head.manifest(),
+            "extractor": None if fx is None else _extractor_manifest(fx),
         }
-        arrays.update({f"fx/param:{k}": v for k, v in fx.params().items()})
-        arrays.update({f"fx/buffer:{k}": v for k, v in fx.buffers().items()})
+        arrays = _named_arrays("head/", obj.head)
+        if fx is not None:
+            arrays.update(_named_arrays("fx/", fx))
+        return manifest, arrays
+    raise TypeError(f"cannot checkpoint a {type(obj).__name__}")
+
+
+def save_checkpoint(obj, path, meta: Optional[dict] = None) -> None:
+    """Write a FeatureExtractor or SensingModel, with optional metadata."""
+    manifest, arrays = _bundle(obj)
+    manifest["meta"] = meta or {}
     write_bundle(path, manifest, arrays)
 
 
-def load_model(path) -> SensingModel:
-    from .nnkit import read_bundle
-
+def load_checkpoint(path, kind: Optional[str] = None):
+    """Rebuild the object a checkpoint holds. `kind` ("feature_extractor" or
+    "sensing_model") restricts what is accepted. A wrong type, a malformed
+    manifest, or arrays that do not match the manifest raise CheckpointError."""
     manifest, arrays = read_bundle(path)
-    if manifest.get("type") != "sensing_model":
-        raise ValueError("not a sensing model checkpoint")
-    head = MlpStack.from_manifest(manifest["head"])
-    head.set_params({k[len("head/param:"):]: v for k, v in arrays.items() if k.startswith("head/param:")})
-    head.set_buffers({k[len("head/buffer:"):]: v for k, v in arrays.items() if k.startswith("head/buffer:")})
-    fx = None
-    if manifest["extractor"] is not None:
-        fm = manifest["extractor"]
-        aggregator = MlpStack.from_manifest(fm["aggregator"])
-        encoders = None
-        if fm["encoders"] is not None:
-            encoders = [MlpStack.from_manifest(m) for m in fm["encoders"]]
-        fx = FeatureExtractor(
-            fm["n_stations"], fm["input_dim"], aggregator, encoders,
-            fm["encoder_dim"], fm["embedding_dim"],
+    found = manifest.get("type")
+    if found not in _CHECKPOINT_TYPES or kind not in (None, found):
+        wanted = kind or " or ".join(_CHECKPOINT_TYPES)
+        raise CheckpointError(f"expected a {wanted} checkpoint, found {found!r}")
+    try:
+        if found == "feature_extractor":
+            obj = _extractor_from_manifest(manifest)
+        else:
+            fm = manifest["extractor"]
+            fx = None if fm is None else _extractor_from_manifest(fm)
+            obj = SensingModel(fx, MlpStack.from_manifest(manifest["head"]), manifest["mode"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"malformed {found} manifest: {exc!r}") from exc
+    targets = _bundle(obj)[1]
+    if set(targets) != set(arrays):
+        raise CheckpointError(
+            f"arrays do not match the manifest: missing {sorted(set(targets) - set(arrays))}, "
+            f"unexpected {sorted(set(arrays) - set(targets))}"
         )
-        for name, p in fx.params().items():
-            p[...] = arrays[f"fx/param:{name}"]
-        for name, b in fx.buffers().items():
-            b[...] = arrays[f"fx/buffer:{name}"]
-    return SensingModel(fx, head, manifest["mode"])
+    for name, dst in targets.items():
+        if arrays[name].shape != dst.shape:
+            raise CheckpointError(
+                f"array {name!r} has shape {arrays[name].shape}, expected {dst.shape}"
+            )
+        dst[...] = arrays[name]
+    return obj

@@ -23,7 +23,6 @@ from .crossl import (
 )
 from .downstream import (
     AugmentConfig,
-    ConstantModel,
     InpaintingModel,
     SensingModel,
     build_head,
@@ -126,19 +125,6 @@ def desk_settings(
     )
 
 
-METHODS = (
-    "constant",
-    "naive",
-    "ensemble",
-    "dae",
-    "crossl",
-    "proposed",
-    "sma",
-    "re",
-    "inpaint",
-)
-
-
 def pretrain_extractor(
     unlabeled: Dataset,
     settings: TrainSettings,
@@ -166,6 +152,82 @@ def pretrain_extractor(
     return fx
 
 
+@dataclass
+class _MethodRun:
+    """Arguments of one train_method call, as its trainer sees them."""
+
+    name: str
+    labeled: Dataset
+    unlabeled: Optional[Dataset]
+    settings: TrainSettings
+    seed: int
+    rng: RandomStream
+    cache: Optional[dict]
+    p_mask_crossl: Optional[float]
+    p_mask_sma: float
+
+    def require_unlabeled(self) -> Dataset:
+        if self.unlabeled is None:
+            raise ValueError(f"{self.name} requires unlabeled data")
+        return self.unlabeled
+
+
+def _naive(r: _MethodRun, rng: RandomStream) -> SensingModel:
+    return train_naive(r.labeled, r.settings.downstream, rng, r.settings.naive_variant)
+
+
+def _dae(r: _MethodRun):
+    dae_tc = replace(r.settings.pretrain, learning_rate=r.settings.dae_lr)
+    dae, _ = train_dae(
+        r.require_unlabeled(), r.p_mask_sma, dae_tc, r.rng.child("dae"), r.settings.embedding_dim
+    )
+    return dae
+
+
+def _crossl_extractor(r: _MethodRun) -> FeatureExtractor:
+    fx = pretrain_extractor(r.require_unlabeled(), r.settings, r.seed, r.p_mask_crossl, r.cache)
+    if r.settings.mode == "joint":
+        # joint fine-tuning mutates the extractor: work on a private copy
+        fx = fx.cast(np.float32)
+    return fx
+
+
+def _head_method(extractor, mode: Optional[str], aug_kind: str):
+    """Trainer for a head on an optional extractor: `extractor` maps the run
+    to a FeatureExtractor (None trains on the concatenated raw stations),
+    `mode` None takes settings.mode, `aug_kind` picks the augmentation."""
+
+    def train(r: _MethodRun) -> SensingModel:
+        s = r.settings
+        fx = None if extractor is None else extractor(r)
+        n_in = r.labeled.n_stations * r.labeled.k if fx is None else fx.embedding_dim
+        model = SensingModel(fx, build_head(n_in, r.rng.child("init")), mode or s.mode)
+        aug = AugmentConfig()
+        if aug_kind != "none":
+            aug = AugmentConfig(
+                kind=aug_kind, p_mask=r.p_mask_sma, strategy=s.aug_strategy, p_aug=s.p_aug
+            )
+        train_downstream(model, r.labeled, aug, s.downstream, r.rng)
+        return model
+
+    return train
+
+
+_TRAINERS = {
+    "constant": lambda r: constant_baseline(),
+    "naive": lambda r: _naive(r, r.rng),
+    "ensemble": lambda r: train_ensemble(r.labeled, r.settings.downstream, r.rng),
+    "dae": _head_method(lambda r: _dae(r).extractor, "frozen", "none"),
+    "crossl": _head_method(_crossl_extractor, None, "none"),
+    "proposed": _head_method(_crossl_extractor, None, "sma"),
+    "sma": _head_method(None, "joint", "sma"),
+    "re": _head_method(None, "joint", "random_erase"),
+    "inpaint": lambda r: InpaintingModel(_naive(r, r.rng.child("base")), _dae(r)),
+}
+
+METHODS = tuple(_TRAINERS)
+
+
 def train_method(
     name: str,
     labeled: Dataset,
@@ -177,63 +239,14 @@ def train_method(
     p_mask_sma: Optional[float] = None,
 ):
     """Train one method end to end and return a predictor with .predict."""
-    rng = RandomStream(seed, f"method/{name}")
+    if name not in _TRAINERS:
+        raise ValueError(f"unknown method {name}")
     p_sma = settings.p_mask_sma if p_mask_sma is None else p_mask_sma
-    if name == "constant":
-        return constant_baseline()
-    if name == "naive":
-        return train_naive(labeled, settings.downstream, rng, settings.naive_variant)
-    if name == "ensemble":
-        return train_ensemble(labeled, settings.downstream, rng)
-    if name in ("sma", "re"):
-        head = build_head(labeled.n_stations * labeled.k, rng.child("init"))
-        model = SensingModel(None, head, "joint")
-        aug = AugmentConfig(
-            kind="sma" if name == "sma" else "random_erase",
-            p_mask=p_sma,
-            strategy=settings.aug_strategy,
-            p_aug=settings.p_aug,
-        )
-        train_downstream(model, labeled, aug, settings.downstream, rng)
-        return model
-    if name == "dae":
-        if unlabeled is None:
-            raise ValueError("dae requires unlabeled data")
-        dae_tc = replace(settings.pretrain, learning_rate=settings.dae_lr)
-        dae, _ = train_dae(
-            unlabeled, p_sma, dae_tc, rng.child("dae"), settings.embedding_dim
-        )
-        head = build_head(settings.embedding_dim, rng.child("init"))
-        model = SensingModel(dae.extractor, head, "frozen")
-        train_downstream(model, labeled, AugmentConfig(kind="none"), settings.downstream, rng)
-        return model
-    if name == "inpaint":
-        base = train_naive(labeled, settings.downstream, rng.child("base"), settings.naive_variant)
-        if unlabeled is None:
-            raise ValueError("inpaint requires unlabeled data")
-        dae_tc = replace(settings.pretrain, learning_rate=settings.dae_lr)
-        dae, _ = train_dae(
-            unlabeled, p_sma, dae_tc, rng.child("dae"), settings.embedding_dim
-        )
-        return InpaintingModel(base, dae)
-    if name in ("crossl", "proposed"):
-        if unlabeled is None:
-            raise ValueError(f"{name} requires unlabeled data")
-        fx = pretrain_extractor(unlabeled, settings, seed, p_mask_crossl, extractor_cache)
-        if settings.mode == "joint":
-            # joint fine-tuning mutates the extractor: work on a private copy
-            fx = fx.cast(np.float32)
-        head = build_head(settings.embedding_dim, rng.child("init"))
-        model = SensingModel(fx, head, settings.mode)
-        if name == "proposed":
-            aug = AugmentConfig(
-                kind="sma", p_mask=p_sma, strategy=settings.aug_strategy, p_aug=settings.p_aug
-            )
-        else:
-            aug = AugmentConfig(kind="none")
-        train_downstream(model, labeled, aug, settings.downstream, rng)
-        return model
-    raise ValueError(f"unknown method {name}")
+    run = _MethodRun(
+        name, labeled, unlabeled, settings, seed, RandomStream(seed, f"method/{name}"),
+        extractor_cache, p_mask_crossl, p_sma,
+    )
+    return _TRAINERS[name](run)
 
 
 # ---------------------------------------------------------------------------
@@ -256,14 +269,12 @@ def eval_at_availability(
     policy: str = "exhaustive",
     n_draws: int = 500,
     rng: Optional[RandomStream] = None,
-    pooled: bool = False,
 ) -> float:
     """RMSE averaged over station-missingness combinations with k available.
 
     exhaustive: every size-(N_d - k) mask (falls back to Monte Carlo above
     the combination cap); monte_carlo: n_draws uniform random combinations.
-    By default per-combination RMSEs are averaged; pooled=True pools squared
-    errors across combinations before the root.
+    Per-combination RMSEs are averaged.
     """
     n_d = test.n_stations
     if not (1 <= k <= n_d):
@@ -281,28 +292,8 @@ def eval_at_availability(
         ]
     else:
         raise ValueError(f"unknown policy {policy}")
-    if pooled:
-        sq = [
-            np.mean(
-                (
-                    model.predict(_zero_stations(test.x, c))
-                    - np.asarray(test.labels, dtype=float)
-                )
-                ** 2
-            )
-            for c in combos
-        ]
-        return float(np.sqrt(np.mean(sq)))
     values = [_masked_rmse(model, test, c) for c in combos]
     return float(np.mean(values))
-
-
-def _zero_stations(x: np.ndarray, indices: Sequence[int]) -> np.ndarray:
-    xm = x.astype(np.float32)
-    if len(indices):
-        xm = xm.copy()
-        xm[:, list(indices), :] = 0.0
-    return xm
 
 
 def label_ratio_subset(train: Dataset, ratio: float, rng: RandomStream) -> Dataset:

@@ -214,14 +214,6 @@ class MlpStack:
                 out[f"{layer.name}.{bname}"] = b
         return out
 
-    def set_params(self, values: Dict[str, np.ndarray]):
-        for name, p in self.params().items():
-            p[...] = values[name]
-
-    def set_buffers(self, values: Dict[str, np.ndarray]):
-        for name, b in self.buffers().items():
-            b[...] = values[name]
-
     def cast(self, dtype) -> "MlpStack":
         """Deep copy with parameters/buffers cast to dtype (for grad checks)."""
         clone = copy.deepcopy(self)
@@ -498,35 +490,18 @@ def read_bundle(path) -> Tuple[dict, Dict[str, np.ndarray]]:
     version, doc_len = struct.unpack("<II", raw[4:12])
     if version != _CK_VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version}")
-    doc = json.loads(raw[12 : 12 + doc_len])
-    arrays = {}
-    off = 12 + doc_len
-    for entry in doc["arrays"]:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        arrays[entry["name"]] = np.frombuffer(raw, "<f4", count, off).reshape(shape).copy()
-        off += count * 4
+    try:
+        doc = json.loads(raw[12 : 12 + doc_len])
+        manifest = doc["manifest"]
+        arrays = {}
+        off = 12 + doc_len
+        for entry in doc["arrays"]:
+            shape = tuple(entry["shape"])
+            count = int(np.prod(shape)) if shape else 1
+            arrays[entry["name"]] = np.frombuffer(raw, "<f4", count, off).reshape(shape).copy()
+            off += count * 4
+    except (ValueError, KeyError, TypeError) as exc:
+        raise CheckpointError(f"malformed checkpoint header: {exc!r}") from exc
     if off != len(raw) - 4:
         raise CheckpointError("payload size does not match manifest")
-    return doc["manifest"], arrays
-
-
-def save_stack(stack: MlpStack, path, optimizer_state: Optional[AdamState] = None) -> None:
-    arrays = {f"param:{k}": v for k, v in stack.params().items()}
-    arrays.update({f"buffer:{k}": v for k, v in stack.buffers().items()})
-    manifest = {"type": "mlp_stack", "layers": stack.manifest(), "has_opt": optimizer_state is not None}
-    if optimizer_state is not None:
-        manifest["opt_t"] = optimizer_state.t
-        arrays.update({f"opt_m:{k}": v for k, v in optimizer_state.m.items()})
-        arrays.update({f"opt_v:{k}": v for k, v in optimizer_state.v.items()})
-    write_bundle(path, manifest, arrays)
-
-
-def load_stack(path) -> MlpStack:
-    manifest, arrays = read_bundle(path)
-    if manifest.get("type") != "mlp_stack":
-        raise CheckpointError("not an MLP stack checkpoint")
-    stack = MlpStack.from_manifest(manifest["layers"])
-    stack.set_params({k[6:]: v for k, v in arrays.items() if k.startswith("param:")})
-    stack.set_buffers({k[7:]: v for k, v in arrays.items() if k.startswith("buffer:")})
-    return stack
+    return manifest, arrays

@@ -16,13 +16,6 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import (
-    CsiFrame,
-    LabeledSample,
-    MaskSet,
-    MultiStationSample,
-    StationSample,
-)
 from .synth import CsiStream, Scenario, Trajectory
 
 DEGENERATE_POWER_FLOOR = 1e-12
@@ -47,30 +40,19 @@ class WindowSpec:
             raise ValueError("window width and rate must be positive")
 
 
-def select_subcarriers(frame: CsiFrame, keep: Sequence[int]) -> np.ndarray:
-    """Complex magnitudes at the kept subcarrier indices."""
-    values = np.asarray(frame.values)
-    keep = np.asarray(keep, dtype=int)
-    if keep.min() < 0 or keep.max() >= len(values):
-        raise IndexError(f"keep indices out of range for k_raw={len(values)}")
-    return np.abs(values[keep])
-
-
 def normalize_power(a: np.ndarray) -> Tuple[np.ndarray, bool]:
     """Scale so mean squared amplitude is 1. Returns (vector, degenerate).
 
     Near-zero-power input yields the all-zero vector with degenerate=True
     instead of dividing by ~0.
     """
-    a = np.asarray(a, dtype=float)
-    mean_power = np.mean(a**2)
-    if mean_power < DEGENERATE_POWER_FLOOR:
-        return np.zeros_like(a), True
-    return a / np.sqrt(mean_power), False
+    out, n_degenerate = _normalize_rows(np.asarray(a, dtype=float)[None, :])
+    return out[0], n_degenerate == 1
 
 
 def _normalize_rows(amps: np.ndarray) -> Tuple[np.ndarray, int]:
-    """Row-wise normalize_power for a (n, K) amplitude matrix."""
+    """Scale each row of an (n, K) amplitude matrix to unit mean power; rows
+    below the power floor become zero. Returns (matrix, degenerate row count)."""
     mean_power = np.mean(amps**2, axis=1)
     degenerate = mean_power < DEGENERATE_POWER_FLOOR
     scale = np.where(degenerate, 1.0, np.sqrt(mean_power))
@@ -90,7 +72,12 @@ class PreprocessedStream:
 
 
 def preprocess_stream(stream: CsiStream, keep: Sequence[int]) -> PreprocessedStream:
+    """Complex magnitudes at the kept subcarrier indices, power-normalized per
+    frame. Indices outside [0, k_raw) raise IndexError."""
     keep = np.asarray(keep, dtype=int)
+    k_raw = stream.values.shape[-1]
+    if keep.min() < 0 or keep.max() >= k_raw:
+        raise IndexError(f"keep indices out of range for k_raw={k_raw}")
     if len(stream) == 0:
         return PreprocessedStream(stream.station, stream.timestamps, np.zeros((0, len(keep))))
     amps = np.abs(stream.values[:, keep])
@@ -103,24 +90,6 @@ def window_bounds(timestamps: np.ndarray, centers: np.ndarray, width_s: float):
     lo = np.searchsorted(timestamps, centers - width_s / 2, side="left")
     hi = np.searchsorted(timestamps, centers + width_s / 2, side="right")
     return lo, hi
-
-
-def aggregate_window(ps: PreprocessedStream, center: float, spec: WindowSpec) -> StationSample:
-    """Arithmetic mean of preprocessed frames in the inclusive window, or the
-    missing placeholder when the window holds no frames."""
-    lo, hi = window_bounds(ps.timestamps, np.asarray([center]), spec.width_s)
-    lo, hi = int(lo[0]), int(hi[0])
-    k = ps.amps.shape[1]
-    if hi <= lo:
-        return StationSample.absent(k)
-    # mean over a fresh buffer: summation order (and hence the exact float
-    # result) then matches a boolean-mask scan regardless of view alignment
-    return StationSample.observed(ps.amps[lo:hi].copy().mean(axis=0))
-
-
-def detect_missing(x: MultiStationSample) -> MaskSet:
-    """Exactly the stations carrying the missing placeholder."""
-    return x.observed_missing
 
 
 @dataclass
@@ -149,21 +118,6 @@ class Dataset:
     @property
     def labeled(self) -> bool:
         return self.labels is not None
-
-    def sample(self, i: int):
-        stations = tuple(
-            StationSample.absent(self.k)
-            if self.missing[i, d]
-            else StationSample.observed(self.x[i, d].astype(float))
-            for d in range(self.n_stations)
-        )
-        ms = MultiStationSample(stations)
-        if self.labeled:
-            return LabeledSample(ms, float(self.labels[i]))
-        return ms
-
-    def samples(self) -> list:
-        return [self.sample(i) for i in range(self.n)]
 
     def subset(self, idx: np.ndarray, split: Optional[str] = None) -> "Dataset":
         return Dataset(

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, List, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
-from .core import CsiFrame, RandomStream
+from .core import RandomStream
 
 SPEED_OF_LIGHT = 299792458.0
 
@@ -128,12 +128,6 @@ class CsiStream:
 
     def __len__(self):
         return len(self.timestamps)
-
-    def frames(self) -> List[CsiFrame]:
-        return [
-            CsiFrame(self.station, float(t), v)
-            for t, v in zip(self.timestamps, self.values)
-        ]
 
 
 def gen_trajectory(scenario: Scenario, rng: RandomStream) -> Trajectory:

@@ -31,11 +31,11 @@ def rng():
     return ss.RandomStream(0, "test")
 
 
-def random_multistation_sample(gen: np.random.Generator, n_d=8, k=52, missing=()):
-    stations = []
-    for d in range(n_d):
-        if d in missing:
-            stations.append(ss.StationSample.absent(k))
-        else:
-            stations.append(ss.StationSample.observed(gen.random(k)))
-    return ss.MultiStationSample(tuple(stations))
+def random_batch(gen: np.random.Generator, n=1, n_d=8, k=52, missing=()):
+    """(n, n_d, k) float32 amplitudes and the (n, n_d) missing flags; the
+    stations listed in `missing` are zero rows flagged missing in every sample."""
+    x = gen.random((n, n_d, k)).astype(np.float32)
+    flags = np.zeros((n, n_d), bool)
+    flags[:, list(missing)] = True
+    x[flags] = 0.0
+    return x, flags

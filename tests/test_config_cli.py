@@ -120,7 +120,7 @@ class TestCli:
              "--dataset", str(data_dir / "unlabeled.bin"), "--out", str(fx_path)]
         )
         assert rc == 0
-        fx = ss.load_extractor(fx_path)
+        fx = ss.load_checkpoint(fx_path, "feature_extractor")
         assert fx.n_stations == 8
 
         model_path = tmp_path / "model.ck"
@@ -130,7 +130,7 @@ class TestCli:
              "--extractor", str(fx_path), "--aug", "sma", "--out", str(model_path)]
         )
         assert rc == 0
-        model = ss.load_model(model_path)
+        model = ss.load_checkpoint(model_path, "sensing_model")
         assert model.extractor is not None
 
         metrics_path = tmp_path / "metrics.csv"
@@ -154,7 +154,7 @@ class TestCli:
              "--extractor", "identity", "--out", str(model_path)]
         )
         assert rc == 0
-        assert ss.load_model(model_path).extractor is None
+        assert ss.load_checkpoint(model_path, "sensing_model").extractor is None
 
     def test_sweep_and_report(self, cli_workspace, tmp_path):
         _, cfg_path, data_dir = cli_workspace

@@ -1,4 +1,4 @@
-"""Domain types, RNG streams, and masking primitives."""
+"""RNG streams, station-mask sampling, and input-level station masking."""
 
 import numpy as np
 import pytest
@@ -6,9 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stationsense as ss
-from stationsense.core import apply_embedding_mask, sample_mask_matrix, sample_mask_set
+from stationsense.core import sample_mask_matrix
+from stationsense.downstream import sma_augment_batch
 
-from conftest import random_multistation_sample
+from conftest import random_batch
+from oracles import mask_set_draws
 
 
 # ---------------------------------------------------------------------------
@@ -42,54 +44,30 @@ class TestRandomStream:
 
 
 # ---------------------------------------------------------------------------
-# MaskSet
-# ---------------------------------------------------------------------------
-
-
-class TestMaskSet:
-    def test_of_and_membership(self):
-        m = ss.MaskSet.of([3, 1, 3])
-        assert 1 in m and 3 in m and 0 not in m
-        assert len(m) == 2
-        assert list(m) == [1, 3]
-
-    def test_union(self):
-        assert set(ss.MaskSet.of([0]).union(ss.MaskSet.of([2]))) == {0, 2}
-
-    def test_empty(self):
-        assert len(ss.MaskSet.empty()) == 0
-
-    def test_validate_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            ss.MaskSet.of([8]).validate(8)
-        with pytest.raises(ValueError):
-            ss.MaskSet.of([-1]).validate(8)
-        ss.MaskSet.of([0, 7]).validate(8)
-
-
-# ---------------------------------------------------------------------------
 # mask sampling
 # ---------------------------------------------------------------------------
 
 
 class TestSampleMaskSet:
     def test_p_zero_empty(self, rng):
-        assert len(sample_mask_set(0.0, 8, rng)) == 0
+        assert not sample_mask_matrix(0.0, 10, 8, rng).any()
 
     def test_p_one_full(self, rng):
-        assert set(sample_mask_set(1.0, 8, rng)) == set(range(8))
+        assert sample_mask_matrix(1.0, 10, 8, rng).all()
 
     def test_invalid_p(self, rng):
         with pytest.raises(ValueError):
-            sample_mask_set(1.5, 8, rng)
+            sample_mask_matrix(1.5, 10, 8, rng)
+        with pytest.raises(ValueError):
+            sample_mask_matrix(-0.1, 10, 8, rng)
 
     def test_consumes_exactly_n_draws(self):
-        # after sampling, the stream continues exactly where n manual draws
-        # would have left it
+        # after sampling, the stream continues exactly where n * N_d manual
+        # draws would have left it
         r1 = ss.RandomStream(3, "m")
         r2 = ss.RandomStream(3, "m")
-        sample_mask_set(0.5, 8, r1)
-        r2.random(8)
+        sample_mask_matrix(0.5, 5, 8, r1)
+        r2.random(40)
         np.testing.assert_array_equal(r1.random(16), r2.random(16))
 
     def test_mean_size_matches_binomial_expectation(self):
@@ -103,114 +81,84 @@ class TestSampleMaskSet:
         r2 = ss.RandomStream(5, "x")
         mat = sample_mask_matrix(0.3, 50, 8, r1)
         for i in range(50):
-            assert set(np.nonzero(mat[i])[0]) == set(sample_mask_set(0.3, 8, r2))
+            assert set(np.nonzero(mat[i])[0]) == mask_set_draws(0.3, 8, r2)
 
 
 # ---------------------------------------------------------------------------
-# input-level masking
+# input-level masking (station-wise masking augmentation)
 # ---------------------------------------------------------------------------
 
 
 class TestApplyInputMask:
     def test_masks_only_selected_stations(self):
-        gen = np.random.default_rng(0)
-        x = random_multistation_sample(gen, missing=(3,))
-        y = ss.apply_input_mask(x, ss.MaskSet.of([3, 5]))
+        x, _ = random_batch(np.random.default_rng(0), n=20, k=6, missing=(3,))
+        out = sma_augment_batch(x, 0.4, ss.RandomStream(2, "m"))
+        mask = sample_mask_matrix(0.4, 20, 8, ss.RandomStream(2, "m"))
         # reference loop oracle
-        for d in range(8):
-            if d in (3, 5):
-                assert y.stations[d].missing
-                np.testing.assert_array_equal(y.stations[d].values, 0.0)
-            else:
-                np.testing.assert_array_equal(y.stations[d].values, x.stations[d].values)
-                assert not y.stations[d].missing
-
-    def test_out_of_range_mask_rejected(self):
-        x = random_multistation_sample(np.random.default_rng(0))
-        with pytest.raises(ValueError):
-            ss.apply_input_mask(x, ss.MaskSet.of([99]))
+        for i in range(20):
+            for d in range(8):
+                if mask[i, d]:
+                    np.testing.assert_array_equal(out[i, d], 0.0)
+                else:
+                    np.testing.assert_array_equal(out[i, d], x[i, d])
 
     @settings(max_examples=50, deadline=None)
     @given(
-        m1=st.sets(st.integers(0, 7)),
-        m2=st.sets(st.integers(0, 7)),
+        p=st.floats(0.0, 1.0),
+        seed_a=st.integers(0, 1000),
+        seed_b=st.integers(0, 1000),
         seed=st.integers(0, 1000),
     )
-    def test_idempotent_and_commutative(self, m1, m2, seed):
-        gen = np.random.default_rng(seed)
-        x = random_multistation_sample(gen, n_d=8, k=6)
-        a, b = ss.MaskSet.of(m1), ss.MaskSet.of(m2)
-        once = ss.apply_input_mask(x, a)
-        twice = ss.apply_input_mask(once, a)
-        np.testing.assert_array_equal(once.matrix(), twice.matrix())
-        assert once.observed_missing.members == twice.observed_missing.members
-        ab = ss.apply_input_mask(ss.apply_input_mask(x, a), b)
-        ba = ss.apply_input_mask(ss.apply_input_mask(x, b), a)
-        np.testing.assert_array_equal(ab.matrix(), ba.matrix())
-        assert ab.observed_missing.members == ba.observed_missing.members
+    def test_idempotent_and_commutative(self, p, seed_a, seed_b, seed):
+        x, _ = random_batch(np.random.default_rng(seed), n=6, k=3)
+
+        def a(v):
+            return sma_augment_batch(v, p, ss.RandomStream(seed_a, "a"))
+
+        def b(v):
+            return sma_augment_batch(v, p, ss.RandomStream(seed_b, "b"))
+
+        np.testing.assert_array_equal(a(a(x)), a(x))
+        np.testing.assert_array_equal(a(b(x)), b(a(x)))
 
     @settings(max_examples=50, deadline=None)
-    @given(m=st.sets(st.integers(0, 7)), pre=st.sets(st.integers(0, 7)), seed=st.integers(0, 1000))
-    def test_missingness_union_property(self, m, pre, seed):
-        gen = np.random.default_rng(seed)
-        x = random_multistation_sample(gen, n_d=8, k=6, missing=tuple(pre))
-        y = ss.apply_input_mask(x, ss.MaskSet.of(m))
-        assert y.observed_missing.members == frozenset(m) | frozenset(pre)
-
-
-class TestApplyEmbeddingMask:
-    def test_zeroes_exact_positions(self):
-        gen = np.random.default_rng(1)
-        q = [gen.random(5) for _ in range(8)]
-        out = apply_embedding_mask(q, ss.MaskSet.of([0, 4]))
-        # index-loop oracle
-        for i in range(8):
-            if i in (0, 4):
-                np.testing.assert_array_equal(out[i], np.zeros(5))
-            else:
-                np.testing.assert_array_equal(out[i], q[i])
+    @given(p=st.floats(0.0, 1.0), pre=st.sets(st.integers(0, 7)), seed=st.integers(0, 1000))
+    def test_missingness_union_property(self, p, pre, seed):
+        # observed rows are strictly positive, so zero rows are exactly the
+        # previously missing stations plus the newly masked ones
+        x, flags = random_batch(np.random.default_rng(seed), n=6, k=3, missing=tuple(pre))
+        x[~flags] += 0.1
+        out = sma_augment_batch(x, p, ss.RandomStream(seed, "m"))
+        mask = sample_mask_matrix(p, 6, 8, ss.RandomStream(seed, "m"))
+        np.testing.assert_array_equal(np.all(out == 0.0, axis=2), flags | mask)
 
 
 # ---------------------------------------------------------------------------
-# sample types
+# sample arrays
 # ---------------------------------------------------------------------------
 
 
 class TestSampleTypes:
-    def test_observed_rejects_negative_and_nonfinite(self):
-        with pytest.raises(ValueError):
-            ss.StationSample.observed(np.array([1.0, -0.1]))
-        with pytest.raises(ValueError):
-            ss.StationSample.observed(np.array([np.nan, 0.0]))
+    """Invariants of the (n, N_d, K) sample arrays that build_*_dataset
+    produce: a missing station is an all-zero row flagged in `missing`, and
+    labels lie in [0, 1]."""
 
-    def test_absent_is_zero_and_flagged(self):
-        s = ss.StationSample.absent(4)
-        assert s.missing
-        np.testing.assert_array_equal(s.values, np.zeros(4))
+    def test_absent_is_zero_and_flagged(self, small_datasets):
+        train = small_datasets[0]
+        assert train.missing.any()
+        np.testing.assert_array_equal(train.x[train.missing], 0.0)
 
-    def test_matrix_shape_and_missing_rows(self):
-        gen = np.random.default_rng(0)
-        x = random_multistation_sample(gen, n_d=3, k=4, missing=(1,))
-        m = x.matrix()
-        assert m.shape == (3, 4)
-        np.testing.assert_array_equal(m[1], 0.0)
+    def test_matrix_shape_and_missing_rows(self, small_datasets):
+        for d in small_datasets:
+            assert d.x.shape == (d.n, 8, 52) and d.x.dtype == np.float32
+            assert d.missing.shape == (d.n, 8) and d.missing.dtype == bool
+            assert d.timestamps.shape == (d.n,)
+            # observed rows are power-normalized averages, never the placeholder
+            assert np.all(d.x[~d.missing].any(axis=1))
 
-    def test_label_bounds(self):
-        gen = np.random.default_rng(0)
-        x = random_multistation_sample(gen, n_d=2, k=3)
-        ss.LabeledSample(x, 0.0)
-        ss.LabeledSample(x, 1.0)
-        with pytest.raises(ValueError):
-            ss.LabeledSample(x, 1.5)
-        with pytest.raises(ValueError):
-            ss.LabeledSample(x, float("nan"))
-
-    def test_station_id_non_negative(self):
-        with pytest.raises(ValueError):
-            ss.StationId(-1)
-
-    def test_frame_rejects_nonfinite(self):
-        with pytest.raises(ValueError):
-            ss.CsiFrame(0, 0.0, np.array([np.inf + 0j]))
-        with pytest.raises(ValueError):
-            ss.CsiFrame(0, -1.0, np.array([1 + 0j]))
+    def test_label_bounds(self, small_datasets):
+        *labeled, unlabeled = small_datasets
+        for d in labeled:
+            assert np.all(np.isfinite(d.labels))
+            assert np.all((d.labels >= 0.0) & (d.labels <= 1.0))
+        assert unlabeled.labels is None

@@ -6,9 +6,6 @@ import pytest
 import stationsense as ss
 from stationsense.crossl import (
     FACTORY_VICREG,
-    aggregate,
-    encode_stations,
-    masked_views,
     vicreg_covariance,
     vicreg_covariance_grad,
     vicreg_invariance,
@@ -250,27 +247,16 @@ class TestFeatureExtractor:
         assert q.shape == (2, 3, 7)
         assert fx.embed(xb).shape == (2, 4)
 
-    def test_per_sample_helpers_match_batch(self):
-        fx = self._fx()
-        gen = np.random.default_rng(5)
-        x = ss.MultiStationSample(
-            tuple(ss.StationSample.observed(gen.random(6)) for _ in range(4))
-        )
-        q = encode_stations(fx, x)
-        z = aggregate(fx, q)
-        np.testing.assert_allclose(
-            z, fx.embed(x.matrix()[None].astype(np.float32))[0], rtol=1e-5
-        )
-
     def test_masked_views_full_mask_collapses_to_zero_input(self):
+        # pre-training masks at the embedding level: a view whose every
+        # station is masked is the embedding of an all-zero input
         fx = self._fx()
-        gen = np.random.default_rng(6)
-        x = ss.MultiStationSample(
-            tuple(ss.StationSample.observed(gen.random(6)) for _ in range(4))
-        )
-        full = ss.MaskSet.of(range(4))
-        z1, z2 = masked_views(fx, x, full, ss.MaskSet.empty())
-        zero = fx.embed(np.zeros((1, 4, 6), dtype=np.float32))[0]
+        xb = np.random.default_rng(6).random((1, 4, 6)).astype(np.float32)
+        q, _ = fx.encode_batch(xb, "eval", None)
+        keep_none = np.zeros((1, 4, 1), dtype=np.float32)
+        z1, _ = fx.aggregate_batch(q * keep_none, "eval", None)
+        z2, _ = fx.aggregate_batch(q, "eval", None)
+        zero = fx.embed(np.zeros((1, 4, 6), dtype=np.float32))
         np.testing.assert_allclose(z1, zero, atol=1e-6)
         assert not np.allclose(z2, zero)
 
@@ -329,8 +315,8 @@ class TestExtractorCheckpoint:
         # move BN buffers off defaults
         fx.embed(unlabeled.x[:32].astype(np.float32), "train", ss.RandomStream(0, "w"))
         p = tmp_path / "fx.ck"
-        ss.save_extractor(fx, p, meta={"note": "test"})
-        back = ss.load_extractor(p)
+        ss.save_checkpoint(fx, p, meta={"note": "test"})
+        back = ss.load_checkpoint(p, "feature_extractor")
         xb = unlabeled.x[:8].astype(np.float32)
         np.testing.assert_array_equal(back.embed(xb), fx.embed(xb))
 
@@ -339,5 +325,5 @@ class TestExtractorCheckpoint:
 
         p = tmp_path / "bad.ck"
         write_bundle(p, {"type": "something_else"}, {})
-        with pytest.raises(ValueError):
-            ss.load_extractor(p)
+        with pytest.raises(ss.CheckpointError):
+            ss.load_checkpoint(p, "feature_extractor")

@@ -1,18 +1,24 @@
-"""Supervised training with station-wise masking augmentation, and baselines."""
+"""Supervised training with station-wise masking augmentation, baselines,
+and the checkpoint codec."""
+
+import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import stationsense as ss
 from stationsense.downstream import (
     AugmentConfig,
     inpaint_batch,
-    inpaint_predict,
     random_erase_batch,
     sma_augment_batch,
 )
+from stationsense.nnkit import read_bundle, write_bundle
 
-from conftest import random_multistation_sample
+from conftest import random_batch
+from oracles import sma_augment_one
 
 
 def small_settings(epochs=30):
@@ -26,16 +32,12 @@ def small_settings(epochs=30):
 
 class TestSmaAugment:
     def test_p_zero_identity(self, rng):
-        x = random_multistation_sample(np.random.default_rng(0))
-        y = ss.sma_augment(x, 0.0, rng)
-        np.testing.assert_array_equal(y.matrix(), x.matrix())
-        assert len(y.observed_missing) == 0
+        x, _ = random_batch(np.random.default_rng(0), n=4)
+        np.testing.assert_array_equal(sma_augment_batch(x, 0.0, rng), x)
 
     def test_p_one_all_masked(self, rng):
-        x = random_multistation_sample(np.random.default_rng(0))
-        y = ss.sma_augment(x, 1.0, rng)
-        np.testing.assert_array_equal(y.matrix(), 0.0)
-        assert set(y.observed_missing) == set(range(8))
+        x, _ = random_batch(np.random.default_rng(0), n=4)
+        np.testing.assert_array_equal(sma_augment_batch(x, 1.0, rng), 0.0)
 
     def test_masked_slot_rate(self):
         r = ss.RandomStream(0, "rate")
@@ -50,53 +52,50 @@ class TestSmaAugment:
         out = sma_augment_batch(xb, 0.4, ss.RandomStream(2, "m"))
         r = ss.RandomStream(2, "m")
         for i in range(20):
-            x = ss.MultiStationSample(
-                tuple(ss.StationSample.observed(xb[i, d]) for d in range(8))
-            )
-            y = ss.sma_augment(x, 0.4, r)
-            np.testing.assert_array_equal(out[i], y.matrix().astype(np.float32))
+            np.testing.assert_array_equal(out[i], sma_augment_one(xb[i], 0.4, r))
 
 
 class TestRandomErase:
+    @staticmethod
+    def _observed(gen, n, n_d, k=52):
+        # strictly positive amplitudes, so every zero is an erased slot
+        return gen.random((n, n_d, k)).astype(np.float32) + 0.1, np.zeros((n, n_d), bool)
+
     def test_zero_range_identity(self, rng):
-        x = random_multistation_sample(np.random.default_rng(0))
-        y = ss.random_erase(x, 0.0, 0.0, rng)
-        np.testing.assert_array_equal(y.matrix(), x.matrix())
+        x, missing = self._observed(np.random.default_rng(0), 4, 8)
+        np.testing.assert_array_equal(random_erase_batch(x, missing, 0.0, 0.0, rng), x)
 
     def test_full_range_erases_everything_observed(self, rng):
-        x = random_multistation_sample(np.random.default_rng(0), missing=(2,))
-        y = ss.random_erase(x, 1.0, 1.0, rng)
-        np.testing.assert_array_equal(y.matrix(), 0.0)
-        # previously-missing station keeps its flag; erased ones stay observed
-        assert set(y.observed_missing) == {2}
+        x, missing = random_batch(np.random.default_rng(0), n=4, missing=(2,))
+        before = x.copy()
+        out = random_erase_batch(x, missing, 1.0, 1.0, rng)
+        np.testing.assert_array_equal(out, 0.0)
+        np.testing.assert_array_equal(x, before)  # the input is not modified
 
     def test_run_lengths_and_contiguity(self):
         # half-width fraction on K=52 always erases exactly 26 contiguous slots
-        r = ss.RandomStream(0, "re")
-        gen = np.random.default_rng(3)
-        for _ in range(200):
-            x = random_multistation_sample(gen, n_d=2, k=52)
-            y = ss.random_erase(x, 0.5, 0.5, r)
+        x, missing = self._observed(np.random.default_rng(3), 200, 2)
+        out = random_erase_batch(x, missing, 0.5, 0.5, ss.RandomStream(0, "re"))
+        for i in range(200):
             for d in range(2):
-                zero = np.nonzero(y.stations[d].values == 0.0)[0]
+                zero = np.nonzero(out[i, d] == 0.0)[0]
                 assert len(zero) == 26
                 assert zero[-1] - zero[0] == 25  # one contiguous run
 
     def test_run_length_bounds_across_draws(self):
-        r = ss.RandomStream(1, "re2")
-        gen = np.random.default_rng(4)
-        lo = int(np.ceil(0.4 * 52))
-        hi = int(np.ceil(0.6 * 52))
-        for _ in range(500):
-            x = random_multistation_sample(gen, n_d=1, k=52)
-            y = ss.random_erase(x, 0.4, 0.6, r)
-            n_zero = int(np.sum(y.stations[0].values == 0.0))
-            assert lo <= n_zero <= hi
+        x, missing = self._observed(np.random.default_rng(4), 500, 1)
+        out = random_erase_batch(x, missing, 0.4, 0.6, ss.RandomStream(1, "re2"))
+        n_zero = np.sum(out[:, 0] == 0.0, axis=1)
+        assert n_zero.min() >= int(np.ceil(0.4 * 52))
+        assert n_zero.max() <= int(np.ceil(0.6 * 52))
 
     def test_missing_stations_untouched(self, rng):
-        x = random_multistation_sample(np.random.default_rng(0), missing=(0, 5))
-        y = ss.random_erase(x, 0.5, 0.5, rng)
-        assert y.stations[0].missing and y.stations[5].missing
+        # rows flagged missing keep their values even when they are non-zero
+        x, missing = self._observed(np.random.default_rng(0), 4, 8)
+        missing[:, [0, 5]] = True
+        out = random_erase_batch(x, missing, 0.5, 0.5, rng)
+        np.testing.assert_array_equal(out[:, [0, 5]], x[:, [0, 5]])
+        assert (out[:, 1] == 0.0).any()
 
     def test_batch_variant_respects_missing(self):
         xb = np.ones((4, 3, 10), dtype=np.float32)
@@ -106,12 +105,11 @@ class TestRandomErase:
         np.testing.assert_array_equal(out[0, 1], 1.0)
         assert (out == 0.0).any()
 
-    def test_invalid_range(self, rng):
-        x = random_multistation_sample(np.random.default_rng(0))
-        with pytest.raises(ValueError):
-            ss.random_erase(x, 0.7, 0.3, rng)
+    def test_invalid_range(self):
         with pytest.raises(ValueError):
             AugmentConfig(kind="random_erase", erase_range=(0.7, 0.3))
+        with pytest.raises(ValueError):
+            AugmentConfig(kind="random_erase", erase_range=(0.2, 1.5))
 
 
 class TestAugmentConfig:
@@ -150,9 +148,9 @@ class TestSensingModel:
     def test_predict_unaffected_by_empty_mask(self, small_datasets):
         train = small_datasets[0]
         model = self._model(train)
-        s = train.sample(3).input
-        masked = ss.apply_input_mask(s, ss.MaskSet.empty())
-        assert model.predict_sample(s) == model.predict_sample(masked)
+        x = train.x[:8]
+        masked = sma_augment_batch(x, 0.0, ss.RandomStream(0, "empty"))
+        np.testing.assert_array_equal(model.predict(masked), model.predict(x))
 
     def test_frozen_without_extractor_coerced_to_joint(self, small_datasets):
         train = small_datasets[0]
@@ -351,15 +349,30 @@ class TestInpaintingModel:
                               ss.RandomStream(1, "ip"))
         dae, _ = ss.train_dae(unlabeled, 0.5, small_settings(2), ss.RandomStream(1, "ip2"),
                               embedding_dim=16)
-        s = test.sample(0).input
-        masked = ss.apply_input_mask(s, ss.MaskSet.of([1]))
-        v = inpaint_predict(base, dae, masked)
-        assert np.isfinite(v)
+        model = ss.InpaintingModel(base, dae)
+        x = test.x[:1].copy()
+        x[:, 1, :] = 0.0
+        missing = test.missing[:1].copy()
+        missing[0, 1] = True
+        v = model.predict(x, missing)
+        assert v.shape == (1,) and np.isfinite(v[0])
+        # flags inferred from the all-zero row give the same prediction
+        np.testing.assert_array_equal(model.predict(x), v)
+        np.testing.assert_array_equal(v, base.predict(inpaint_batch(dae, x, missing)))
 
 
 # ---------------------------------------------------------------------------
-# model checkpoints
+# checkpoints
 # ---------------------------------------------------------------------------
+
+
+def _golden_objects():
+    """Untrained, seeded objects whose checkpoint bytes are pinned below."""
+    fx = ss.build_extractor(3, 4, ss.RandomStream(0, "golden"), embedding_dim=3,
+                            aggregator_hidden=(8, 6), encoder_widths=(5,))
+    model = ss.SensingModel(fx, ss.build_head(3, ss.RandomStream(0, "golden/head")), "frozen")
+    plain = ss.SensingModel(None, ss.build_head(12, ss.RandomStream(0, "golden/plain")), "joint")
+    return fx, model, plain
 
 
 class TestModelCheckpoint:
@@ -372,8 +385,8 @@ class TestModelCheckpoint:
         ss.train_downstream(model, train.subset(np.arange(64)), AugmentConfig(kind="none"),
                             small_settings(3), rng.child("tr"))
         p = tmp_path / "model.ck"
-        ss.save_model(model, p, meta={"note": "x"})
-        back = ss.load_model(p)
+        ss.save_checkpoint(model, p, meta={"note": "x"})
+        back = ss.load_checkpoint(p, "sensing_model")
         assert back.mode == "joint"
         np.testing.assert_array_equal(back.predict(test.x[:10]), model.predict(test.x[:10]))
 
@@ -382,7 +395,105 @@ class TestModelCheckpoint:
         model = ss.train_naive(train.subset(np.arange(64)), small_settings(3),
                                ss.RandomStream(0, "nv2"))
         p = tmp_path / "naive.ck"
-        ss.save_model(model, p)
-        back = ss.load_model(p)
+        ss.save_checkpoint(model, p)
+        back = ss.load_checkpoint(p)
         assert back.extractor is None
         np.testing.assert_array_equal(back.predict(test.x[:10]), model.predict(test.x[:10]))
+
+
+class TestCheckpointCodec:
+    GOLDEN_SHA256 = {
+        "fx": "ec1d82516558b42d0632d5207f574eb95f0762827b20d90125a8d8eedd9d6537",
+        "model": "c8e4ad4d8cfe2a009bd3ae07c4812ab791ff197305a0b1d5c2ec825ed6950398",
+        "plain": "6f680c163a0de016d9823d6ddf0773c0f3a34618edf4949160721ba1f16179e7",
+    }
+
+    def test_golden_bytes(self, tmp_path):
+        # pins the feature_extractor and sensing_model file formats byte for byte
+        fx, model, plain = _golden_objects()
+        for tag, obj, meta in (("fx", fx, {"note": "golden"}), ("model", model, {"seed": 0}),
+                               ("plain", plain, None)):
+            p = tmp_path / tag
+            ss.save_checkpoint(obj, p, meta)
+            assert hashlib.sha256(p.read_bytes()).hexdigest() == self.GOLDEN_SHA256[tag], tag
+
+    def _rewrite(self, tmp_path, edit):
+        """Save the golden extractor, let `edit` change its manifest and
+        arrays, and re-seal the bundle so only the codec's checks can object."""
+        p = tmp_path / "fx.ck"
+        ss.save_checkpoint(_golden_objects()[0], p)
+        manifest, arrays = read_bundle(p)
+        edit(manifest, arrays)
+        write_bundle(p, manifest, arrays)
+        return p
+
+    def test_unknown_type_rejected(self, tmp_path):
+        p = self._rewrite(tmp_path, lambda m, a: m.update(type="mlp_stack"))
+        with pytest.raises(ss.CheckpointError):
+            ss.load_checkpoint(p)
+
+    def test_kind_mismatch_rejected(self, tmp_path):
+        p = self._rewrite(tmp_path, lambda m, a: None)
+        assert isinstance(ss.load_checkpoint(p, "feature_extractor"), ss.FeatureExtractor)
+        with pytest.raises(ss.CheckpointError):
+            ss.load_checkpoint(p, "sensing_model")
+
+    def test_manifest_names_missing_array_rejected(self, tmp_path):
+        p = self._rewrite(tmp_path, lambda m, a: a.pop("buffer:agg.b0.bn.running_mean"))
+        with pytest.raises(ss.CheckpointError, match="agg.b0.bn.running_mean"):
+            ss.load_checkpoint(p)
+
+    def test_wrong_shape_rejected(self, tmp_path):
+        def grow(m, a):
+            a["buffer:agg.b0.bn.running_mean"] = np.zeros(9, np.float32)
+
+        p = self._rewrite(tmp_path, grow)
+        with pytest.raises(ss.CheckpointError, match="shape"):
+            ss.load_checkpoint(p)
+
+    def test_malformed_manifest_rejected(self, tmp_path):
+        p = self._rewrite(tmp_path, lambda m, a: m.pop("aggregator"))
+        with pytest.raises(ss.CheckpointError):
+            ss.load_checkpoint(p)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n_d=st.integers(1, 4),
+        k=st.integers(1, 5),
+        enc=st.one_of(st.none(), st.integers(1, 4)),
+        with_fx=st.booleans(),
+        seed=st.integers(0, 10_000),
+    )
+    def test_round_trip_bitwise(self, tmp_path_factory, n_d, k, enc, with_fx, seed):
+        rng = ss.RandomStream(seed, "rt")
+        fx = ss.build_extractor(n_d, k, rng.child("fx"), embedding_dim=3, aggregator_hidden=(4, 5),
+                                encoder_widths=None if enc is None else (enc,))
+        # move the BN buffers off their initial values
+        fx.embed(np.random.default_rng(seed).random((6, n_d, k)).astype(np.float32), "train",
+                 rng.child("warm"))
+        obj = fx
+        if with_fx:
+            obj = ss.SensingModel(fx, ss.build_head(3, rng.child("head")), "frozen")
+        p = tmp_path_factory.mktemp("rt") / "ck"
+        ss.save_checkpoint(obj, p, {"seed": seed})
+        back = ss.load_checkpoint(p)
+        assert type(back) is type(obj)
+        p2 = p.with_name("ck2")
+        ss.save_checkpoint(back, p2, {"seed": seed})
+        assert p2.read_bytes() == p.read_bytes()
+        xb = np.random.default_rng(seed + 1).random((3, n_d, k)).astype(np.float32)
+        if with_fx:
+            np.testing.assert_array_equal(back.predict(xb), obj.predict(xb))
+        else:
+            np.testing.assert_array_equal(back.embed(xb), obj.embed(xb))
+
+    @settings(max_examples=50, deadline=None)
+    @given(where=st.floats(0.0, 1.0, exclude_max=True), flip=st.integers(1, 255))
+    def test_single_byte_corruption_rejected(self, tmp_path_factory, where, flip):
+        p = tmp_path_factory.mktemp("bad") / "ck"
+        ss.save_checkpoint(_golden_objects()[1], p)
+        raw = bytearray(p.read_bytes())
+        raw[int(where * len(raw))] ^= flip
+        p.write_bytes(bytes(raw))
+        with pytest.raises(ss.CheckpointError):
+            ss.load_checkpoint(p)

@@ -101,17 +101,6 @@ class TestEvalAtAvailability:
         mc = ss.eval_at_availability(model, test, 4, "monte_carlo", 500, ss.RandomStream(0, "mc"))
         assert abs(mc - ex) / ex < 1e-9  # constant model is mask-invariant
 
-    def test_pooled_variant_differs_in_general(self):
-        test = tiny_dataset(n=50)
-
-        class SumModel:
-            def predict(self, xb):
-                return np.asarray(xb).sum(axis=(1, 2))
-
-        per_comb = ss.eval_at_availability(SumModel(), test, 4, "exhaustive")
-        pooled = ss.eval_at_availability(SumModel(), test, 4, "exhaustive", pooled=True)
-        assert pooled >= per_comb - 1e-12  # root-mean vs mean-root ordering
-
     def test_invalid_k_and_policy(self):
         test = tiny_dataset()
         with pytest.raises(ValueError):

@@ -351,8 +351,8 @@ class TestCheckpoints:
         # move buffers off their init values
         stack.forward(np.random.default_rng(0).random((8, 4)).astype(np.float32), "train", _rng("w"))
         p = tmp_path / "stack.ck"
-        ss.save_stack(stack, p)
-        back = ss.load_stack(p)
+        ss.save_checkpoint(ss.SensingModel(None, stack), p)
+        back = ss.load_checkpoint(p).head
         for k, v in stack.params().items():
             np.testing.assert_array_equal(back.params()[k], v)
         for k, v in stack.buffers().items():
@@ -364,18 +364,39 @@ class TestCheckpoints:
 
     def test_corrupt_byte_detected(self, tmp_path):
         p = tmp_path / "s.ck"
-        ss.save_stack(MlpStack([Dense("d", 2, 2, _rng("c"))]), p)
+        ss.save_checkpoint(ss.SensingModel(None, MlpStack([Dense("d", 2, 2, _rng("c"))])), p)
         raw = bytearray(p.read_bytes())
         raw[20] ^= 0x01
         p.write_bytes(bytes(raw))
         with pytest.raises(ss.CheckpointError):
-            ss.load_stack(p)
+            ss.load_checkpoint(p)
 
     def test_wrong_magic_detected(self, tmp_path):
         p = tmp_path / "s.ck"
         p.write_bytes(b"JUNKJUNKJUNKJUNKJUNK")
         with pytest.raises(ss.CheckpointError):
             read_bundle(p)
+
+    def test_malformed_header_detected(self, tmp_path):
+        import json
+        import struct
+        import zlib
+
+        def sealed(doc: bytes, payload: bytes = b"") -> bytes:
+            # a well-formed container around a broken header, CRC intact
+            buf = b"SSCK" + struct.pack("<II", 1, len(doc)) + doc + payload
+            return buf + struct.pack("<I", zlib.crc32(buf))
+
+        too_long = {"manifest": {}, "arrays": [{"name": "a", "shape": [1000]}]}
+        p = tmp_path / "h.ck"
+        for raw in (
+            sealed(json.dumps(too_long).encode(), bytes(8)),
+            sealed(json.dumps({"arrays": []}).encode()),
+            sealed(b"{x]"),
+        ):
+            p.write_bytes(raw)
+            with pytest.raises(ss.CheckpointError):
+                read_bundle(p)
 
     def test_bundle_manifest_round_trip(self, tmp_path):
         p = tmp_path / "b.ck"

@@ -10,15 +10,16 @@ from stationsense.pipeline import (
     DEFAULT_DROP_64,
     DatasetFormatError,
     PreprocessedStream,
+    _aggregate_all,
     _reference_centers,
     default_keep_list,
-    detect_missing,
     scenario_hash,
     split_counts,
     window_bounds,
 )
+from stationsense.synth import CsiStream
 
-from conftest import random_multistation_sample
+from conftest import random_batch
 
 
 # ---------------------------------------------------------------------------
@@ -34,15 +35,16 @@ class TestSelectSubcarriers:
         assert set(keep) | DEFAULT_DROP_64 == set(range(64))
 
     def test_returns_magnitudes_at_kept_indices(self):
-        values = np.array([3 + 4j, 1 + 0j, 0 + 2j, 5 + 12j])
-        frame = ss.CsiFrame(0, 1.0, values)
-        out = ss.select_subcarriers(frame, [0, 3])
-        np.testing.assert_allclose(out, [5.0, 13.0])
+        values = np.array([[3 + 4j, 1 + 0j, 0 + 2j, 5 + 12j]])
+        ps = ss.preprocess_stream(CsiStream(0, np.array([1.0]), values), [0, 3])
+        # magnitudes 5 and 13, scaled to unit mean power (mean of 25, 169 is 97)
+        np.testing.assert_allclose(ps.amps, [[5.0 / np.sqrt(97.0), 13.0 / np.sqrt(97.0)]])
 
     def test_out_of_range_index_rejected(self):
-        frame = ss.CsiFrame(0, 1.0, np.ones(4, dtype=complex))
-        with pytest.raises(IndexError):
-            ss.select_subcarriers(frame, [4])
+        stream = CsiStream(0, np.array([1.0]), np.ones((1, 4), dtype=complex))
+        for keep in ([4], [-1, 0]):
+            with pytest.raises(IndexError):
+                ss.preprocess_stream(stream, keep)
 
 
 class TestNormalizePower:
@@ -88,36 +90,39 @@ def brute_force_window(ps: PreprocessedStream, center, width):
     return ps.amps[inside].mean(axis=0)
 
 
+def aggregate_one(ps: PreprocessedStream, centers, width):
+    """_aggregate_all on a one-station list: (n, K) means and (n,) flags."""
+    x, missing = _aggregate_all([ps], np.asarray(centers, dtype=float), ss.WindowSpec(width, 1.0))
+    return x[:, 0], missing[:, 0]
+
+
 class TestAggregateWindow:
     def test_matches_brute_force(self, small_run):
         scen, _, streams = small_run
-        keep = default_keep_list()
-        ps = ss.preprocess_stream(streams[0], keep)
-        spec = ss.WindowSpec(2.0, 4.0)
-        gen = np.random.default_rng(0)
-        for center in gen.uniform(1.0, scen.duration_s - 1.0, 200):
-            got = ss.aggregate_window(ps, center, spec)
+        ps = ss.preprocess_stream(streams[0], default_keep_list())
+        centers = np.random.default_rng(0).uniform(1.0, scen.duration_s - 1.0, 200)
+        x, missing = aggregate_one(ps, centers, 2.0)
+        for i, center in enumerate(centers):
             want = brute_force_window(ps, center, 2.0)
             if want is None:
-                assert got.missing
+                assert missing[i]
             else:
-                assert not got.missing
-                np.testing.assert_array_equal(got.values, want)
+                assert not missing[i]
+                np.testing.assert_array_equal(x[i], want.astype(np.float32))
 
     def test_boundary_frames_included(self):
         # frames exactly at center +- width/2 belong to the window
         ts = np.array([0.0, 1.0, 2.0])
         amps = np.array([[1.0], [2.0], [4.0]])
-        ps = PreprocessedStream(0, ts, amps)
-        got = ss.aggregate_window(ps, 1.0, ss.WindowSpec(2.0, 1.0))
-        assert not got.missing
-        np.testing.assert_allclose(got.values, [(1.0 + 2.0 + 4.0) / 3])
+        x, missing = aggregate_one(PreprocessedStream(0, ts, amps), [1.0], 2.0)
+        assert not missing[0]
+        np.testing.assert_allclose(x[0], [(1.0 + 2.0 + 4.0) / 3])
 
     def test_empty_window_is_missing_placeholder(self):
         ps = PreprocessedStream(0, np.array([0.0]), np.array([[1.0, 2.0]]))
-        got = ss.aggregate_window(ps, 10.0, ss.WindowSpec(2.0, 1.0))
-        assert got.missing
-        np.testing.assert_array_equal(got.values, np.zeros(2))
+        x, missing = aggregate_one(ps, [10.0], 2.0)
+        assert missing[0]
+        np.testing.assert_array_equal(x[0], np.zeros(2))
 
     def test_window_bounds_vectorized(self):
         ts = np.sort(np.random.default_rng(1).uniform(0, 100, 500))
@@ -129,20 +134,49 @@ class TestAggregateWindow:
 
 
 class TestDetectMissing:
+    """Missingness is detected from frame presence when windows are built,
+    and from all-zero rows when a model is handed a batch without flags."""
+
+    @staticmethod
+    def _streams(silent=()):
+        ts = np.arange(0.0, 10.0, 0.1)
+        amps = np.ones((len(ts), 3))
+        return [
+            PreprocessedStream(d, ts[:0] if d in silent else ts, amps[:0] if d in silent else amps)
+            for d in range(8)
+        ]
+
     def test_all_observed_empty(self):
-        x = random_multistation_sample(np.random.default_rng(0))
-        assert len(detect_missing(x)) == 0
+        _, missing = _aggregate_all(self._streams(), np.arange(1.0, 9.0), ss.WindowSpec(2.0, 1.0))
+        assert not missing.any()
 
     def test_flags_exactly_missing_stations(self):
-        x = random_multistation_sample(np.random.default_rng(0), missing=(1, 7))
-        assert set(detect_missing(x)) == {1, 7}
+        x, missing = _aggregate_all(
+            self._streams(silent=(1, 7)), np.arange(1.0, 9.0), ss.WindowSpec(2.0, 1.0)
+        )
+        np.testing.assert_array_equal(np.nonzero(missing.all(axis=0))[0], [1, 7])
+        assert not missing[:, [0, 2, 3, 4, 5, 6]].any()
+        np.testing.assert_array_equal(x[:, [1, 7]], 0.0)
 
     @settings(max_examples=50, deadline=None)
     @given(m=st.sets(st.integers(0, 7)), seed=st.integers(0, 1000))
     def test_round_trip_superset(self, m, seed):
-        x = random_multistation_sample(np.random.default_rng(seed), n_d=8, k=4)
-        y = ss.apply_input_mask(x, ss.MaskSet.of(m))
-        assert frozenset(m) <= detect_missing(y).members
+        # InpaintingModel without flags treats every all-zero station row as
+        # missing: zeroing the stations in m must get them all reconstructed
+        class Recorder:
+            def predict(self, xb):
+                self.seen = xb
+                return np.zeros(len(xb))
+
+        class Ones:
+            def reconstruct(self, xb):
+                return np.ones_like(xb)
+
+        x, _ = random_batch(np.random.default_rng(seed), n=2, k=4, missing=tuple(m))
+        base = Recorder()
+        ss.InpaintingModel(base, Ones()).predict(x)
+        filled = np.all(base.seen == 1.0, axis=2)
+        assert set(np.nonzero(filled.any(axis=0))[0]) >= m
 
 
 # ---------------------------------------------------------------------------
@@ -219,12 +253,13 @@ class TestBuildDatasets:
 
     def test_subset_and_sample_views(self, small_datasets):
         train = small_datasets[0]
-        sub = train.subset(np.array([0, 2, 4]))
-        assert sub.n == 3
-        s = train.sample(0)
-        assert isinstance(s, ss.LabeledSample)
-        np.testing.assert_allclose(s.input.matrix(), train.x[0], rtol=1e-6)
-        assert set(s.input.observed_missing) == set(np.nonzero(train.missing[0])[0])
+        idx = np.array([0, 2, 4])
+        sub = train.subset(idx, split="val")
+        assert sub.n == 3 and sub.split == "val"
+        np.testing.assert_array_equal(sub.x, train.x[idx])
+        np.testing.assert_array_equal(sub.missing, train.missing[idx])
+        np.testing.assert_array_equal(sub.labels, train.labels[idx])
+        np.testing.assert_array_equal(sub.timestamps, train.timestamps[idx])
 
 
 # ---------------------------------------------------------------------------

@@ -13,22 +13,17 @@ import numpy as np
 
 from .config import RunConfig, config_to_dict, dump_config, load_config
 from .core import RandomStream
-from .crossl import VicregWeights, build_extractor, pretrain
-from .downstream import (
-    AugmentConfig,
-    SensingModel,
-    build_head,
-    load_checkpoint,
-    save_checkpoint,
-    train_downstream,
-)
+from .downstream import load_checkpoint, save_checkpoint
 from .harness import (
+    _EXTRACTOR_METHODS,
     MetricsRow,
+    _pretrain,
     eval_at_availability,
     label_ratio_subset,
     pca_export,
     run_grid,
     summarize,
+    train_method,
     write_metrics_csv,
     write_summary_csv,
 )
@@ -42,6 +37,9 @@ from .pipeline import (
     scenario_hash,
 )
 from .synth import gen_csi_streams, gen_trajectory
+
+# the train_method methods whose result is a checkpointable SensingModel
+TRAIN_METHODS = ("naive", "sma", "re", "crossl", "proposed")
 
 
 def _out_dir(args) -> Path:
@@ -113,27 +111,11 @@ def cmd_pretrain(args):
     cfg = load_config(args.config)
     tr = cfg.training
     unlabeled = load_dataset(args.dataset)
-    w = VicregWeights(
-        lam=args.lam if args.lam is not None else tr.vicreg.lam,
-        mu=args.mu if args.mu is not None else tr.vicreg.mu,
-        nu=args.nu if args.nu is not None else tr.vicreg.nu,
-        gamma=args.gamma,
-        epsilon=args.epsilon,
-    )
-    tc = tr.pretrain
-    if args.lr is not None:
-        tc = type(tc)(args.lr, tc.batch_size, tc.max_epochs, tc.patience)
-    if args.batch is not None:
-        tc = type(tc)(tc.learning_rate, args.batch, tc.max_epochs, tc.patience)
-    rng = RandomStream(args.seed, "crossl")
-    fx = build_extractor(
-        unlabeled.n_stations, unlabeled.k, rng.child("init"),
-        embedding_dim=tr.embedding_dim, aggregator_hidden=tr.aggregator_hidden,
-    )
-    result = pretrain(fx, unlabeled, args.p_mask, w, tc, rng.child("fit"))
+    fx, result = _pretrain(unlabeled, tr, args.seed, tr.p_mask_crossl)
+    w = tr.vicreg
     save_checkpoint(
         fx, args.out,
-        meta={"p_mask": args.p_mask, "vicreg": [w.lam, w.mu, w.nu, w.gamma, w.epsilon],
+        meta={"p_mask": tr.p_mask_crossl, "vicreg": [w.lam, w.mu, w.nu, w.gamma, w.epsilon],
               "seed": args.seed, "epochs": len(result.history),
               "best_loss": result.best_loss},
     )
@@ -141,45 +123,20 @@ def cmd_pretrain(args):
 
 
 def cmd_train(args):
+    if not args.extractor and args.method in _EXTRACTOR_METHODS:
+        raise SystemExit(f"train --method {args.method} needs --extractor (a pretrain checkpoint)")
     cfg = load_config(args.config)
-    tr = cfg.training
-    labeled = load_dataset(args.labeled)
-    if args.label_ratio < 1.0:
-        labeled = label_ratio_subset(
-            labeled, args.label_ratio, RandomStream(args.seed, f"label_subset/{args.label_ratio}")
-        )
-    rng = RandomStream(args.seed, "train")
-    if args.extractor == "identity":
-        fx = None
-        feat_dim = labeled.n_stations * labeled.k
-    elif args.extractor == "fresh":
-        fx = build_extractor(
-            labeled.n_stations, labeled.k, rng.child("init/fx"),
-            embedding_dim=tr.embedding_dim, aggregator_hidden=tr.aggregator_hidden,
-        )
-        feat_dim = fx.embedding_dim
-    else:
-        fx = load_checkpoint(args.extractor, "feature_extractor")
-        feat_dim = fx.embedding_dim
-    head = build_head(feat_dim, rng.child("init/head"))
-    model = SensingModel(fx, head, args.mode)
-    kind = {"none": "none", "sma": "sma", "re": "random_erase"}[args.aug]
-    erange = tuple(float(v) for v in args.erase_range.split(","))
-    aug = AugmentConfig(
-        kind=kind, p_mask=args.p_mask, erase_range=erange,
-        p_aug=tr.p_aug, strategy=args.aug_strategy,
+    labeled = label_ratio_subset(
+        load_dataset(args.labeled), args.label_ratio,
+        RandomStream(args.seed, f"label_subset/{args.label_ratio}"),
     )
-    tc = tr.downstream
-    if args.lr is not None:
-        tc = type(tc)(args.lr, tc.batch_size, tc.max_epochs, tc.patience)
-    result = train_downstream(model, labeled, aug, tc, rng)
+    fx = load_checkpoint(args.extractor, "feature_extractor") if args.extractor else None
+    model = train_method(args.method, labeled, None, cfg.training, args.seed, extractor=fx)
     save_checkpoint(
         model, args.out,
-        meta={"aug": args.aug, "p_mask": args.p_mask, "mode": args.mode,
-              "label_ratio": args.label_ratio, "seed": args.seed,
-              "best_loss": result.best_loss},
+        meta={"method": args.method, "label_ratio": args.label_ratio, "seed": args.seed},
     )
-    print(f"trained {len(result.history)} epochs, best loss {result.best_loss:.6f} -> {args.out}")
+    print(f"trained {args.method} -> {args.out}")
 
 
 def cmd_evaluate(args):
@@ -291,31 +248,17 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--export-csv", action="store_true")
     sp.set_defaults(func=cmd_build_dataset)
 
-    sp = sub.add_parser("pretrain", help="self-supervised pre-training")
+    sp = sub.add_parser("pretrain", help="self-supervised pre-training (settings from the YAML)")
     sp.add_argument("--dataset", required=True)
-    sp.add_argument("--p-mask", type=float, default=0.5)
-    sp.add_argument("--lambda", dest="lam", type=float, default=None)
-    sp.add_argument("--mu", type=float, default=None)
-    sp.add_argument("--nu", type=float, default=None)
-    sp.add_argument("--gamma", type=float, default=1.0)
-    sp.add_argument("--epsilon", type=float, default=1e-4)
-    sp.add_argument("--lr", type=float, default=None)
-    sp.add_argument("--batch", type=int, default=None)
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=cmd_pretrain)
 
-    sp = sub.add_parser("train", help="supervised downstream training")
+    sp = sub.add_parser("train", help="supervised downstream training (settings from the YAML)")
     sp.add_argument("--labeled", required=True)
-    sp.add_argument("--extractor", default="identity",
-                    help="checkpoint path, 'fresh', or 'identity' (no extractor)")
-    sp.add_argument("--mode", choices=["frozen", "joint"], default="joint")
-    sp.add_argument("--aug", choices=["none", "sma", "re"], default="none")
-    sp.add_argument("--p-mask", type=float, default=0.5)
-    sp.add_argument("--erase-range", default="0.4,0.6")
-    sp.add_argument("--aug-strategy", choices=["offline_double", "online"],
-                    default="offline_double")
+    sp.add_argument("--method", choices=TRAIN_METHODS, default="naive")
+    sp.add_argument("--extractor", default=None,
+                    help="pre-trained extractor checkpoint (crossl, proposed)")
     sp.add_argument("--label-ratio", type=float, default=1.0)
-    sp.add_argument("--lr", type=float, default=None)
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=cmd_train)
 

@@ -46,10 +46,6 @@ def desk_windowing() -> WindowingConfig:
     return WindowingConfig(width_s=2.0, label_rate_hz=2.4, ssl_rate_hz=4.8)
 
 
-def _build(cls, data: dict, **overrides):
-    return cls(**{**data, **overrides})
-
-
 def config_from_dict(doc: dict) -> RunConfig:
     doc = dict(doc or {})
     scen_doc = dict(doc.get("scenario", {}))
@@ -74,6 +70,8 @@ def config_from_dict(doc: dict) -> RunConfig:
             tr_doc[key] = cls(**tr_doc[key])
     if "aggregator_hidden" in tr_doc:
         tr_doc["aggregator_hidden"] = tuple(tr_doc["aggregator_hidden"])
+    if tr_doc.get("encoder_widths") is not None:
+        tr_doc["encoder_widths"] = tuple(tr_doc["encoder_widths"])
     training = TrainSettings(**tr_doc)
 
     sw_doc = dict(doc.get("sweep", {}))

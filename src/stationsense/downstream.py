@@ -67,6 +67,8 @@ def sma_augment_batch(xb: np.ndarray, p_mask: float, rng: RandomStream) -> np.nd
 def random_erase_batch(
     xb: np.ndarray, missing: np.ndarray, s_l: float, s_h: float, rng: RandomStream
 ) -> np.ndarray:
+    if not (0.0 <= s_l <= s_h <= 1.0):
+        raise ValueError("erase range must satisfy 0 <= s_l <= s_h <= 1")
     n, n_d, k = xb.shape
     out = xb.copy()
     fracs = rng.uniform(s_l, s_h, (n, n_d))

@@ -5,10 +5,11 @@ label-ratio sweeps, masking-rate heatmaps, PCA exports, and metrics tables.
 from __future__ import annotations
 
 import csv
+import hashlib
 import itertools
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -32,7 +33,7 @@ from .downstream import (
     train_ensemble,
     train_naive,
 )
-from .nnkit import TrainConfig
+from .nnkit import FitResult, TrainConfig
 from .pipeline import Dataset
 
 EXHAUSTIVE_COMBINATION_CAP = 256
@@ -125,18 +126,10 @@ def desk_settings(
     )
 
 
-def pretrain_extractor(
-    unlabeled: Dataset,
-    settings: TrainSettings,
-    seed: int,
-    p_mask: Optional[float] = None,
-    cache: Optional[dict] = None,
-) -> FeatureExtractor:
-    """CroSSL-pretrained extractor, cached per (seed, p_mask)."""
-    p = settings.p_mask_crossl if p_mask is None else p_mask
-    key = (seed, p)
-    if cache is not None and key in cache:
-        return cache[key]
+def _pretrain(
+    unlabeled: Dataset, settings: TrainSettings, seed: int, p: float
+) -> Tuple[FeatureExtractor, FitResult]:
+    """Build a CroSSL extractor from the settings and pre-train it (uncached)."""
     rng = RandomStream(seed, "crossl")
     fx = build_extractor(
         unlabeled.n_stations,
@@ -146,10 +139,42 @@ def pretrain_extractor(
         aggregator_hidden=settings.aggregator_hidden,
         encoder_widths=settings.encoder_widths,
     )
-    pretrain(fx, unlabeled, p, settings.vicreg, settings.pretrain, rng.child("fit"))
-    if cache is not None:
-        cache[key] = fx
-    return fx
+    result = pretrain(fx, unlabeled, p, settings.vicreg, settings.pretrain, rng.child("fit"))
+    return fx, result
+
+
+def _pretrain_key(unlabeled: Dataset, settings: TrainSettings, seed: int, p: float) -> tuple:
+    """Everything a pre-training run depends on: the seed, the masking rate,
+    a digest of the unlabeled data and the pre-training settings (not mode,
+    p_mask_sma or the downstream schedule, which only act after it)."""
+    digest = hashlib.sha256()
+    for a in (unlabeled.x, unlabeled.missing):
+        digest.update(repr((a.dtype.str, a.shape)).encode())
+        digest.update(np.ascontiguousarray(a).data)
+    s = settings
+    widths = None if s.encoder_widths is None else tuple(s.encoder_widths)
+    return (
+        seed, p, digest.hexdigest(), s.embedding_dim, tuple(s.aggregator_hidden), widths,
+        astuple(s.vicreg), astuple(s.pretrain),
+    )
+
+
+def pretrain_extractor(
+    unlabeled: Dataset,
+    settings: TrainSettings,
+    seed: int,
+    p_mask: Optional[float] = None,
+    cache: Optional[dict] = None,
+) -> FeatureExtractor:
+    """CroSSL-pretrained extractor, cached per seed, p_mask, unlabeled data
+    and pre-training settings."""
+    p = settings.p_mask_crossl if p_mask is None else p_mask
+    if cache is None:
+        return _pretrain(unlabeled, settings, seed, p)[0]
+    key = _pretrain_key(unlabeled, settings, seed, p)
+    if key not in cache:
+        cache[key] = _pretrain(unlabeled, settings, seed, p)[0]
+    return cache[key]
 
 
 @dataclass
@@ -165,6 +190,7 @@ class _MethodRun:
     cache: Optional[dict]
     p_mask_crossl: Optional[float]
     p_mask_sma: float
+    extractor: Optional[FeatureExtractor]
 
     def require_unlabeled(self) -> Dataset:
         if self.unlabeled is None:
@@ -185,7 +211,9 @@ def _dae(r: _MethodRun):
 
 
 def _crossl_extractor(r: _MethodRun) -> FeatureExtractor:
-    fx = pretrain_extractor(r.require_unlabeled(), r.settings, r.seed, r.p_mask_crossl, r.cache)
+    fx = r.extractor
+    if fx is None:
+        fx = pretrain_extractor(r.require_unlabeled(), r.settings, r.seed, r.p_mask_crossl, r.cache)
     if r.settings.mode == "joint":
         # joint fine-tuning mutates the extractor: work on a private copy
         fx = fx.cast(np.float32)
@@ -213,6 +241,11 @@ def _head_method(extractor, mode: Optional[str], aug_kind: str):
     return train
 
 
+def _inpaint(r: _MethodRun) -> InpaintingModel:
+    r.require_unlabeled()  # fail before the naive base trains
+    return InpaintingModel(_naive(r, r.rng.child("base")), _dae(r))
+
+
 _TRAINERS = {
     "constant": lambda r: constant_baseline(),
     "naive": lambda r: _naive(r, r.rng),
@@ -222,10 +255,12 @@ _TRAINERS = {
     "proposed": _head_method(_crossl_extractor, None, "sma"),
     "sma": _head_method(None, "joint", "sma"),
     "re": _head_method(None, "joint", "random_erase"),
-    "inpaint": lambda r: InpaintingModel(_naive(r, r.rng.child("base")), _dae(r)),
+    "inpaint": _inpaint,
 }
 
 METHODS = tuple(_TRAINERS)
+# methods that build on a CroSSL extractor and so can take a pre-trained one
+_EXTRACTOR_METHODS = ("crossl", "proposed")
 
 
 def train_method(
@@ -237,14 +272,20 @@ def train_method(
     extractor_cache: Optional[dict] = None,
     p_mask_crossl: Optional[float] = None,
     p_mask_sma: Optional[float] = None,
+    extractor: Optional[FeatureExtractor] = None,
 ):
-    """Train one method end to end and return a predictor with .predict."""
+    """Train one method end to end and return a predictor with .predict.
+
+    A given `extractor` replaces pre-training for crossl and proposed; any
+    other method rejects one."""
     if name not in _TRAINERS:
         raise ValueError(f"unknown method {name}")
+    if extractor is not None and name not in _EXTRACTOR_METHODS:
+        raise ValueError(f"{name} does not take a pre-trained extractor")
     p_sma = settings.p_mask_sma if p_mask_sma is None else p_mask_sma
     run = _MethodRun(
         name, labeled, unlabeled, settings, seed, RandomStream(seed, f"method/{name}"),
-        extractor_cache, p_mask_crossl, p_sma,
+        extractor_cache, p_mask_crossl, p_sma, extractor,
     )
     return _TRAINERS[name](run)
 
@@ -255,10 +296,8 @@ def train_method(
 
 
 def _masked_rmse(model, test: Dataset, mask_indices: Sequence[int]) -> float:
-    xm = test.x.astype(np.float32)
-    if len(mask_indices):
-        xm = xm.copy()
-        xm[:, list(mask_indices), :] = 0.0
+    xm = test.x.astype(np.float32)  # always a copy
+    xm[:, list(mask_indices), :] = 0.0
     return rmse(model.predict(xm), test.labels)
 
 

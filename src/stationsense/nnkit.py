@@ -54,7 +54,7 @@ class TrainConfig:
 class Dense:
     kind = "dense"
 
-    def __init__(self, name, n_in, n_out, rng: Optional[RandomStream], dtype=np.float32):
+    def __init__(self, name, n_in, n_out, rng: Optional[RandomStream] = None, dtype=np.float32):
         self.name = name
         self.n_in = n_in
         self.n_out = n_out
@@ -175,7 +175,13 @@ class Dropout:
         return {"kind": self.kind, "name": self.name, "rate": self.rate}
 
 
-_LAYER_KINDS = {"dense": Dense, "relu": Relu, "batchnorm": BatchNorm, "dropout": Dropout}
+# spec kind -> layer class and the spec fields its constructor takes after the name
+_LAYER_KINDS = {
+    "dense": (Dense, ("n_in", "n_out")),
+    "relu": (Relu, ()),
+    "batchnorm": (BatchNorm, ("width",)),
+    "dropout": (Dropout, ("rate",)),
+}
 
 
 class MlpStack:
@@ -231,17 +237,10 @@ class MlpStack:
     def from_manifest(manifest: list) -> "MlpStack":
         layers = []
         for s in manifest:
-            kind = s["kind"]
-            if kind == "dense":
-                layers.append(Dense(s["name"], s["n_in"], s["n_out"], rng=None))
-            elif kind == "relu":
-                layers.append(Relu(s["name"]))
-            elif kind == "batchnorm":
-                layers.append(BatchNorm(s["name"], s["width"]))
-            elif kind == "dropout":
-                layers.append(Dropout(s["name"], s["rate"]))
-            else:
-                raise ValueError(f"unknown layer kind {kind}")
+            if s["kind"] not in _LAYER_KINDS:
+                raise ValueError(f"unknown layer kind {s['kind']}")
+            cls, fields = _LAYER_KINDS[s["kind"]]
+            layers.append(cls(s["name"], *(s[f] for f in fields)))
         return MlpStack(layers)
 
 

@@ -262,15 +262,23 @@ class DatasetFormatError(Exception):
     pass
 
 
+_HEADER = struct.Struct("<IIIQBB16sQ")
+
+
+def _record_dtype(n_d: int, k: int, labeled: bool) -> np.dtype:
+    """One sample's record: amplitudes, missing flags, then the label if any."""
+    fields = [("x", "<f4", (n_d, k)), ("m", "u1", (n_d,))]
+    if labeled:
+        fields.append(("y", "<f4"))
+    return np.dtype(fields)
+
+
 def save_dataset(d: Dataset, path) -> None:
     """Versioned binary file: header, float32 records (amplitudes, missing
     flags, optional label per sample), timestamps, trailing CRC32."""
-    buf = bytearray()
-    buf += _MAGIC
     shash = bytes.fromhex(d.provenance.get("scenario_hash", "0" * 32))
     seed = int(d.provenance.get("seed", 0))
-    buf += struct.pack(
-        "<IIIQBB16sQ",
+    header = _MAGIC + _HEADER.pack(
         _FORMAT_VERSION,
         d.n_stations,
         d.k,
@@ -280,59 +288,45 @@ def save_dataset(d: Dataset, path) -> None:
         shash,
         seed,
     )
-    x = np.ascontiguousarray(d.x, dtype="<f4")
-    miss = np.ascontiguousarray(d.missing, dtype=np.uint8)
-    labels = None if d.labels is None else np.ascontiguousarray(d.labels, dtype="<f4")
-    for i in range(d.n):
-        buf += x[i].tobytes()
-        buf += miss[i].tobytes()
-        if labels is not None:
-            buf += labels[i].tobytes()
-    buf += np.ascontiguousarray(d.timestamps, dtype="<f8").tobytes()
-    buf += struct.pack("<I", zlib.crc32(bytes(buf)))
+    records = np.empty(d.n, _record_dtype(d.n_stations, d.k, d.labeled))
+    records["x"] = d.x
+    records["m"] = d.missing
+    if d.labeled:
+        records["y"] = d.labels
+    timestamps = np.ascontiguousarray(d.timestamps, dtype="<f8")
+    crc = 0
     with open(path, "wb") as f:
-        f.write(bytes(buf))
+        for part in (header, records, timestamps):
+            f.write(part)
+            crc = zlib.crc32(part, crc)
+        f.write(struct.pack("<I", crc))
 
 
 def load_dataset(path) -> Dataset:
     with open(path, "rb") as f:
         raw = f.read()
-    if len(raw) < 4 + 46 + 4 or raw[:4] != _MAGIC:
+    head = len(_MAGIC) + _HEADER.size
+    if len(raw) < head + 4 or raw[:4] != _MAGIC:
         raise DatasetFormatError("not a dataset file (bad magic or truncated)")
     (crc_stored,) = struct.unpack("<I", raw[-4:])
-    if zlib.crc32(raw[:-4]) != crc_stored:
+    if zlib.crc32(memoryview(raw)[:-4]) != crc_stored:
         raise DatasetFormatError("checksum failure")
-    version, n_d, k, n, labeled, split_code, shash, seed = struct.unpack(
-        "<IIIQBB16sQ", raw[4 : 4 + 46]
-    )
+    version, n_d, k, n, labeled, split_code, shash, seed = _HEADER.unpack_from(raw, 4)
     if version != _FORMAT_VERSION:
         raise DatasetFormatError(f"unsupported format version {version}")
-    rec_size = n_d * k * 4 + n_d + (4 if labeled else 0)
-    body = raw[4 + 46 : -4]
-    expected = n * rec_size + n * 8
-    if len(body) != expected:
+    rec = _record_dtype(n_d, k, bool(labeled))
+    payload, expected = len(raw) - head - 4, n * rec.itemsize + n * 8
+    if payload != expected:
         raise DatasetFormatError(
-            f"payload size {len(body)} does not match header (expected {expected})"
+            f"payload size {payload} does not match header (expected {expected})"
         )
-    x = np.zeros((n, n_d, k), dtype=np.float32)
-    missing = np.zeros((n, n_d), dtype=bool)
-    labels = np.zeros(n, dtype=np.float32) if labeled else None
-    off = 0
-    for i in range(n):
-        x[i] = np.frombuffer(body, "<f4", n_d * k, off).reshape(n_d, k)
-        off += n_d * k * 4
-        missing[i] = np.frombuffer(body, np.uint8, n_d, off).astype(bool)
-        off += n_d
-        if labeled:
-            labels[i] = np.frombuffer(body, "<f4", 1, off)[0]
-            off += 4
-    timestamps = np.frombuffer(body, "<f8", n, off).copy()
+    records = np.frombuffer(raw, rec, n, head)
     return Dataset(
         split=_SPLIT_NAMES.get(split_code, "unlabeled"),
-        x=x,
-        missing=missing,
-        labels=labels,
-        timestamps=timestamps,
+        x=records["x"].astype(np.float32),
+        missing=records["m"].astype(bool),
+        labels=records["y"].astype(np.float32) if labeled else None,
+        timestamps=np.frombuffer(raw, "<f8", n, head + n * rec.itemsize).astype(np.float64),
         provenance={"scenario_hash": shash.hex(), "seed": seed},
     )
 

@@ -8,8 +8,10 @@ import pytest
 import yaml
 
 import stationsense as ss
+from stationsense import cli
 from stationsense.cli import main
 from stationsense.config import config_from_dict, config_to_dict
+from stationsense.nnkit import read_bundle
 
 
 class TestConfig:
@@ -20,17 +22,16 @@ class TestConfig:
         assert cfg.training.downstream.batch_size == 256
 
     def test_round_trip_through_yaml(self, tmp_path):
-        cfg = ss.RunConfig(
-            scenario=ss.desk_scenario(),
-            windowing=ss.desk_windowing(),
-        )
-        p = tmp_path / "cfg.yaml"
-        ss.dump_config(cfg, p)
-        back = ss.load_config(str(p))
-        assert back.scenario == cfg.scenario
-        assert back.windowing == cfg.windowing
-        assert back.training == cfg.training
-        assert back.sweep == cfg.sweep
+        desk_run = ss.RunConfig(scenario=ss.desk_scenario(), windowing=ss.desk_windowing())
+        desk_training = ss.RunConfig(training=ss.desk_settings())  # encoder_widths (64,)
+        for cfg in (desk_run, desk_training):
+            p = tmp_path / "cfg.yaml"
+            ss.dump_config(cfg, p)
+            back = ss.load_config(str(p))
+            assert back.scenario == cfg.scenario
+            assert back.windowing == cfg.windowing
+            assert back.training == cfg.training
+            assert back.sweep == cfg.sweep
 
     def test_partial_overrides(self):
         cfg = config_from_dict(
@@ -127,7 +128,7 @@ class TestCli:
         rc = main(
             ["--config", str(cfg_path), "train",
              "--labeled", str(data_dir / "train.bin"),
-             "--extractor", str(fx_path), "--aug", "sma", "--out", str(model_path)]
+             "--method", "proposed", "--extractor", str(fx_path), "--out", str(model_path)]
         )
         assert rc == 0
         model = ss.load_checkpoint(model_path, "sensing_model")
@@ -150,11 +151,65 @@ class TestCli:
         model_path = tmp_path / "naive.ck"
         rc = main(
             ["--config", str(cfg_path), "train",
-             "--labeled", str(data_dir / "train.bin"),
-             "--extractor", "identity", "--out", str(model_path)]
+             "--labeled", str(data_dir / "train.bin"), "--out", str(model_path)]
         )
         assert rc == 0
         assert ss.load_checkpoint(model_path, "sensing_model").extractor is None
+
+    def test_cli_trains_what_train_method_trains(self, cli_workspace, tmp_path):
+        _, cfg_path, data_dir = cli_workspace
+        fx_path, model_path = tmp_path / "fx.ck", tmp_path / "model.ck"
+        assert main(["--config", str(cfg_path), "pretrain",
+                     "--dataset", str(data_dir / "unlabeled.bin"), "--out", str(fx_path)]) == 0
+        assert main(["--config", str(cfg_path), "train",
+                     "--labeled", str(data_dir / "train.bin"), "--method", "proposed",
+                     "--extractor", str(fx_path), "--out", str(model_path)]) == 0
+        train, test, unlabeled = (
+            ss.load_dataset(data_dir / f"{n}.bin") for n in ("train", "test", "unlabeled")
+        )
+        want = ss.train_method(
+            "proposed", train, unlabeled, ss.load_config(str(cfg_path)).training, 0
+        ).predict(test.x)
+        got = ss.load_checkpoint(model_path, "sensing_model").predict(test.x)
+        np.testing.assert_array_equal(got, want)
+
+    def test_pretrain_takes_every_setting_from_the_yaml(self, cli_workspace, tmp_path):
+        _, cfg_path, data_dir = cli_workspace
+        doc = yaml.safe_load(cfg_path.read_text())
+        doc["training"].update(encoder_widths=[5], p_mask_crossl=0.3, vicreg={"gamma": 0.5})
+        yaml_path = tmp_path / "cfg.yaml"
+        yaml_path.write_text(yaml.safe_dump(doc))
+        fx_path = tmp_path / "fx.ck"
+        assert main(["--config", str(yaml_path), "pretrain",
+                     "--dataset", str(data_dir / "unlabeled.bin"), "--out", str(fx_path)]) == 0
+        fx = ss.load_checkpoint(fx_path, "feature_extractor")
+        assert fx.encoders is not None and fx.encoder_dim == 5
+        meta = read_bundle(fx_path)[0]["meta"]
+        assert meta["p_mask"] == 0.3
+        assert meta["vicreg"][3] == 0.5  # [lam, mu, nu, gamma, epsilon]
+
+    def test_train_rejects_other_methods_and_dropped_flags(self, cli_workspace, tmp_path,
+                                                          monkeypatch):
+        _, cfg_path, data_dir = cli_workspace
+
+        def fail(*args, **kwargs):
+            raise AssertionError("training ran")
+
+        monkeypatch.setattr(cli, "train_method", fail)
+        labeled = ["--labeled", str(data_dir / "train.bin"), "--out", str(tmp_path / "m.ck")]
+        for extra in (["--method", "constant"], ["--aug", "sma"], ["--mode", "joint"]):
+            with pytest.raises(SystemExit) as exc:
+                main(["--config", str(cfg_path), "train", *labeled, *extra])
+            assert exc.value.code == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["pretrain", "--dataset", str(data_dir / "unlabeled.bin"),
+                  "--out", str(tmp_path / "fx.ck"), "--p-mask", "0.3"])
+        assert exc.value.code == 2
+        with pytest.raises(SystemExit, match="--extractor"):
+            main(["--config", str(cfg_path), "train", *labeled, "--method", "proposed"])
+        with pytest.raises(ValueError, match="ratio"):
+            main(["--config", str(cfg_path), "train", *labeled, "--label-ratio", "1.5"])
+        assert not (tmp_path / "m.ck").exists() and not (tmp_path / "fx.ck").exists()
 
     def test_sweep_and_report(self, cli_workspace, tmp_path):
         _, cfg_path, data_dir = cli_workspace

@@ -106,10 +106,12 @@ class TestRandomErase:
         assert (out == 0.0).any()
 
     def test_invalid_range(self):
-        with pytest.raises(ValueError):
-            AugmentConfig(kind="random_erase", erase_range=(0.7, 0.3))
-        with pytest.raises(ValueError):
-            AugmentConfig(kind="random_erase", erase_range=(0.2, 1.5))
+        for bad in ((0.7, 0.3), (0.2, 1.5), (-0.5, -0.2)):
+            with pytest.raises(ValueError):
+                AugmentConfig(kind="random_erase", erase_range=bad)
+            x, missing = self._observed(np.random.default_rng(0), 4, 2, k=10)
+            with pytest.raises(ValueError, match="erase range"):
+                random_erase_batch(x, missing, *bad, ss.RandomStream(0, "erase"))
 
 
 class TestAugmentConfig:
@@ -454,6 +456,11 @@ class TestCheckpointCodec:
     def test_malformed_manifest_rejected(self, tmp_path):
         p = self._rewrite(tmp_path, lambda m, a: m.pop("aggregator"))
         with pytest.raises(ss.CheckpointError):
+            ss.load_checkpoint(p)
+
+    def test_unknown_layer_kind_rejected(self, tmp_path):
+        p = self._rewrite(tmp_path, lambda m, a: m["aggregator"][0].update(kind="conv"))
+        with pytest.raises(ss.CheckpointError, match="unknown layer kind"):
             ss.load_checkpoint(p)
 
     @settings(max_examples=25, deadline=None)

@@ -2,11 +2,13 @@
 
 import csv
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import stationsense as ss
+from stationsense import harness
 from stationsense.harness import (
     EXHAUSTIVE_COMBINATION_CAP,
     MetricsRow,
@@ -240,11 +242,70 @@ class TestRunGrid:
             with pytest.raises(ValueError):
                 train_method(name, train, None, ss.TrainSettings(), 0)
 
+    def test_inpaint_checks_unlabeled_before_training(self, small_datasets, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("the naive base trained before the unlabeled check")
+
+        monkeypatch.setattr(harness, "train_naive", fail)
+        with pytest.raises(ValueError, match="unlabeled"):
+            train_method("inpaint", small_datasets[0], None, ss.TrainSettings(), 0)
+
+    def test_given_extractor_replaces_pretraining(self, small_datasets):
+        train, _, test, unlabeled = small_datasets
+        s = _tiny_settings()
+        fx = harness.pretrain_extractor(unlabeled, s, 0)
+        for mode in ("frozen", "joint"):
+            s_mode = replace(s, mode=mode)
+            want = train_method("proposed", train, unlabeled, s_mode, 0).predict(test.x)
+            before = fx.embed(test.x)
+            got = train_method("proposed", train, None, s_mode, 0, extractor=fx)
+            np.testing.assert_array_equal(got.predict(test.x), want)
+            np.testing.assert_array_equal(fx.embed(test.x), before)  # caller's copy untouched
+        for name in ("naive", "sma", "re", "dae", "constant"):
+            with pytest.raises(ValueError, match="extractor"):
+                train_method(name, train, unlabeled, s, 0, extractor=fx)
+
     def test_sweep_spec_validation(self):
         with pytest.raises(ValueError):
             SweepSpec(label_ratios=(0.0,))
         with pytest.raises(ValueError):
             SweepSpec(combination_policy="sometimes")
+
+
+def _tiny_settings(**kw):
+    return ss.TrainSettings(
+        pretrain=ss.TrainConfig(1e-3, 256, 2, 1),
+        downstream=ss.TrainConfig(1e-3, 128, 3, 2),
+        embedding_dim=8,
+        aggregator_hidden=(16, 16),
+        **kw,
+    )
+
+
+class TestPretrainCache:
+    def test_different_unlabeled_sets_get_different_extractors(self, small_datasets):
+        unlabeled = small_datasets[3]
+        other = unlabeled.subset(np.arange(unlabeled.n // 2))
+        cache = {}
+        a = harness.pretrain_extractor(unlabeled, _tiny_settings(), 0, cache=cache)
+        b = harness.pretrain_extractor(other, _tiny_settings(), 0, cache=cache)
+        assert a is not b
+        assert not np.array_equal(a.embed(unlabeled.x), b.embed(unlabeled.x))
+        assert harness.pretrain_extractor(other, _tiny_settings(), 0, cache=cache) is b
+
+    def test_keyed_by_pretraining_settings_only(self, small_datasets):
+        unlabeled = small_datasets[3]
+        cache = {}
+        base = harness.pretrain_extractor(unlabeled, _tiny_settings(), 0, cache=cache)
+        widened = harness.pretrain_extractor(
+            unlabeled, _tiny_settings(encoder_widths=[4]), 0, cache=cache
+        )
+        assert widened is not base and widened.encoders is not None and base.encoders is None
+        # settings that only act after pre-training share the cached extractor
+        after = replace(_tiny_settings(), mode="joint", p_mask_sma=0.9,
+                        downstream=ss.TrainConfig(1e-2, 64, 5, 1))
+        assert harness.pretrain_extractor(unlabeled, after, 0, cache=cache) is base
+        assert len(cache) == 2
 
 
 class TestPcaExport:

@@ -1,5 +1,7 @@
 """Preprocessing, window aggregation, dataset construction and serialization."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -267,7 +269,42 @@ class TestBuildDatasets:
 # ---------------------------------------------------------------------------
 
 
+def _golden_datasets():
+    """One labeled and one unlabeled seeded set (the unlabeled one a strided view)."""
+    gen = np.random.default_rng(11)
+    x = gen.random((5, 3, 4)).astype(np.float32)
+    missing = gen.random((5, 3)) < 0.3
+    x[missing] = 0.0
+    labeled = ss.Dataset("val", x, missing, gen.random(5).astype(np.float32),
+                         np.arange(5) / 4.0, {"scenario_hash": "0123456789abcdef" * 2, "seed": 7})
+    unlabeled = ss.Dataset("unlabeled", x[:4, :2], missing[:4, :2], None, np.arange(4) / 6.0)
+    return labeled, unlabeled
+
+
+# sha256 of format-v1 files for _golden_datasets(), as written by the
+# original per-record encoder
+_GOLDEN_SHA256 = {
+    "val": "39a16e7a26227846cb187250df917585e2106b4b4fef1c841003a461e119085d",
+    "unlabeled": "cab4cd43cb6ea8a68e9ed24beb5106e2d60a7ffa8937b0d1c42bde6795ce4242",
+}
+
+
 class TestDatasetSerialization:
+    def test_golden_bytes(self, tmp_path):
+        for d in _golden_datasets():
+            p = tmp_path / f"{d.split}.bin"
+            ss.save_dataset(d, p)
+            assert hashlib.sha256(p.read_bytes()).hexdigest() == _GOLDEN_SHA256[d.split]
+            back = ss.load_dataset(p)
+            for name in ("x", "missing", "labels", "timestamps"):
+                a, b = getattr(d, name), getattr(back, name)
+                if a is None:
+                    assert b is None
+                    continue
+                assert b.dtype == a.dtype and np.array_equal(a, b)
+                # private, writable arrays, not views into the file buffer
+                assert b.flags.writeable and b.flags.c_contiguous and b.base is None
+
     def test_round_trip_bitwise(self, small_datasets, tmp_path):
         train = small_datasets[0]
         train.provenance["scenario_hash"] = scenario_hash(ss.Scenario())

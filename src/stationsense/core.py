@@ -22,10 +22,7 @@ class RandomStream:
     def __init__(self, seed: int, label: str = ""):
         self.seed = int(seed)
         self.label = label
-        key = zlib.crc32(label.encode("utf-8"))
-        self._gen = np.random.default_rng(
-            np.random.SeedSequence(entropy=self.seed, spawn_key=(key,))
-        )
+        self._gen = None  # built on first draw: most derived streams never draw
 
     def child(self, label: str) -> "RandomStream":
         sep = "/" if self.label else ""
@@ -33,26 +30,31 @@ class RandomStream:
 
     @property
     def generator(self) -> np.random.Generator:
+        if self._gen is None:
+            key = zlib.crc32(self.label.encode("utf-8"))
+            self._gen = np.random.default_rng(
+                np.random.SeedSequence(entropy=self.seed, spawn_key=(key,))
+            )
         return self._gen
 
     # convenience passthroughs
     def random(self, size=None):
-        return self._gen.random(size)
+        return self.generator.random(size)
 
     def normal(self, loc=0.0, scale=1.0, size=None):
-        return self._gen.normal(loc, scale, size)
+        return self.generator.normal(loc, scale, size)
 
     def exponential(self, scale=1.0, size=None):
-        return self._gen.exponential(scale, size)
+        return self.generator.exponential(scale, size)
 
     def uniform(self, low=0.0, high=1.0, size=None):
-        return self._gen.uniform(low, high, size)
+        return self.generator.uniform(low, high, size)
 
     def integers(self, low, high=None, size=None):
-        return self._gen.integers(low, high, size)
+        return self.generator.integers(low, high, size)
 
     def permutation(self, n):
-        return self._gen.permutation(n)
+        return self.generator.permutation(n)
 
     def __repr__(self):
         return f"RandomStream(seed={self.seed}, label={self.label!r})"

@@ -216,17 +216,20 @@ def train_naive(
     tc: TrainConfig,
     rng: RandomStream,
     variant: str = "office",
+    **extractor_shape,
 ) -> SensingModel:
     """NaiveSupervised: no pre-training, no augmentation.
 
     office variant: head directly on the concatenated station inputs.
-    factory variant: fresh extractor trained end-to-end with the head.
+    factory variant: fresh extractor trained end-to-end with the head;
+    `extractor_shape` (embedding_dim, aggregator_hidden, encoder_widths) goes
+    to build_extractor.
     """
     if variant == "office":
         head = build_head(labeled.n_stations * labeled.k, rng.child("init"))
         model = SensingModel(None, head, "joint")
     elif variant == "factory":
-        fx = build_extractor(labeled.n_stations, labeled.k, rng.child("init/fx"))
+        fx = build_extractor(labeled.n_stations, labeled.k, rng.child("init/fx"), **extractor_shape)
         head = build_head(fx.embedding_dim, rng.child("init/head"))
         model = SensingModel(fx, head, "joint")
     else:

@@ -126,18 +126,22 @@ def desk_settings(
     )
 
 
+def _extractor_shape(settings: TrainSettings) -> dict:
+    """build_extractor's shape arguments, as the settings give them."""
+    return dict(
+        embedding_dim=settings.embedding_dim,
+        aggregator_hidden=settings.aggregator_hidden,
+        encoder_widths=settings.encoder_widths,
+    )
+
+
 def _pretrain(
     unlabeled: Dataset, settings: TrainSettings, seed: int, p: float
 ) -> Tuple[FeatureExtractor, FitResult]:
     """Build a CroSSL extractor from the settings and pre-train it (uncached)."""
     rng = RandomStream(seed, "crossl")
     fx = build_extractor(
-        unlabeled.n_stations,
-        unlabeled.k,
-        rng.child("init"),
-        embedding_dim=settings.embedding_dim,
-        aggregator_hidden=settings.aggregator_hidden,
-        encoder_widths=settings.encoder_widths,
+        unlabeled.n_stations, unlabeled.k, rng.child("init"), **_extractor_shape(settings)
     )
     result = pretrain(fx, unlabeled, p, settings.vicreg, settings.pretrain, rng.child("fit"))
     return fx, result
@@ -199,7 +203,8 @@ class _MethodRun:
 
 
 def _naive(r: _MethodRun, rng: RandomStream) -> SensingModel:
-    return train_naive(r.labeled, r.settings.downstream, rng, r.settings.naive_variant)
+    s = r.settings
+    return train_naive(r.labeled, s.downstream, rng, s.naive_variant, **_extractor_shape(s))
 
 
 def _dae(r: _MethodRun):

@@ -3,7 +3,11 @@
 Covers exactly what the training recipes need: dense layers, ReLU, batch
 normalization, inverted dropout, MSE-style losses, Adam, a training loop with
 train-loss early stopping, and a central-difference gradient checker.
-Default compute precision is float32; gradient checks run on float64 casts.
+Parameters, Adam moments and forward activations are float32. In train
+mode Dropout keeps its mask as a float64 array (a bool mask times a Python
+float), so the gradients of every layer below a dropout layer, and the
+weight gradients taken from them, are float64; Adam writes the update back
+into the float32 parameters. Gradient checks run on float64 casts.
 """
 
 from __future__ import annotations

@@ -162,6 +162,8 @@ def _reference_centers(duration_s: float, spec: WindowSpec) -> np.ndarray:
 def _aggregate_all(
     pstreams: List[PreprocessedStream], centers: np.ndarray, spec: WindowSpec
 ) -> Tuple[np.ndarray, np.ndarray]:
+    """(n, N_d, K) float32 window means and (n, N_d) missing flags for the
+    windows around `centers`, which may come in any order."""
     n = len(centers)
     n_d = len(pstreams)
     k = pstreams[0].amps.shape[1]
@@ -169,12 +171,40 @@ def _aggregate_all(
     missing = np.zeros((n, n_d), dtype=bool)
     for d, ps in enumerate(pstreams):
         lo, hi = window_bounds(ps.timestamps, centers, spec.width_s)
-        for i in range(n):
-            if hi[i] > lo[i]:
-                x[i, d] = ps.amps[lo[i] : hi[i]].copy().mean(axis=0)
-            else:
-                missing[i, d] = True
+        missing[:, d] = hi == lo
+        _scan_window_means(ps.amps, lo, hi - lo, x[:, d])
     return x, missing
+
+
+def _scan_window_means(amps: np.ndarray, lo: np.ndarray, count: np.ndarray, out: np.ndarray) -> None:
+    """out[i] = amps[lo[i] : lo[i] + count[i]].mean(axis=0) for every window
+    with count[i] > 0, bit for bit; other rows of `out` are left alone.
+
+    numpy's mean over axis 0 adds the float64 rows in order from the first,
+    then divides by the count, so windows with the same first frame share one
+    running sum. Step j adds row start + j - 1 to every distinct start that
+    still needs it, then emits the windows of j frames. The working set is
+    O(distinct starts * K). (With K == 1 numpy sums the single column
+    pairwise instead, so for windows of 8 or more frames the float64 sums
+    may differ in the last bits and the float32 result by one unit.)"""
+    filled = np.flatnonzero(count)
+    if filled.size == 0:
+        return
+    wins = filled[np.argsort(-count[filled], kind="stable")]  # longest window first
+    neg_size = -count[wins]
+    _, first = np.unique(lo[wins], return_index=True)
+    first.sort()
+    # each distinct start once, ordered by its longest window, so the starts
+    # that still need a row at step j are a prefix
+    starts, neg_need = lo[wins[first]], neg_size[first]
+    row = np.empty(len(amps), dtype=np.intp)
+    row[starts] = np.arange(len(starts))
+    total = np.zeros((len(starts), amps.shape[1]))
+    for j in range(1, count[wins[0]] + 1):
+        active = np.searchsorted(neg_need, -j, "right")
+        total[:active] += amps[starts[:active] + j - 1]
+        done = wins[np.searchsorted(neg_size, -j) : np.searchsorted(neg_size, -j, "right")]
+        out[done] = total[row[lo[done]]] / j
 
 
 def split_counts(n: int, ratios: Tuple[float, float, float]) -> Tuple[int, int, int]:

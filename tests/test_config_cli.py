@@ -188,6 +188,19 @@ class TestCli:
         assert meta["p_mask"] == 0.3
         assert meta["vicreg"][3] == 0.5  # [lam, mu, nu, gamma, epsilon]
 
+    def test_factory_naive_takes_its_extractor_shape_from_the_yaml(self, cli_workspace, tmp_path):
+        _, cfg_path, data_dir = cli_workspace
+        doc = yaml.safe_load(cfg_path.read_text())
+        doc["training"].update(naive_variant="factory", encoder_widths=[5], embedding_dim=8)
+        yaml_path = tmp_path / "cfg.yaml"
+        yaml_path.write_text(yaml.safe_dump(doc))
+        model_path = tmp_path / "naive.ck"
+        assert main(["--config", str(yaml_path), "train",
+                     "--labeled", str(data_dir / "train.bin"), "--out", str(model_path)]) == 0
+        fx = ss.load_checkpoint(model_path, "sensing_model").extractor
+        assert fx.encoders is not None and fx.encoder_dim == 5
+        assert fx.embedding_dim == 8
+
     def test_train_rejects_other_methods_and_dropped_flags(self, cli_workspace, tmp_path,
                                                           monkeypatch):
         _, cfg_path, data_dir = cli_workspace

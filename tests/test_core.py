@@ -42,6 +42,30 @@ class TestRandomStream:
         b = ss.RandomStream(7, "a/b").random(10)
         np.testing.assert_array_equal(a, b)
 
+    # first draws of a fresh stream: random(3), integers(0, 1000, 3), then
+    # normal(size=2), as recorded when every stream built its generator at once
+    @pytest.mark.parametrize(
+        "seed, label, chain, want",
+        [
+            (0, "", (), ([0.9429375528828794, 0.3163371523854981, 0.7223425886498254],
+                         [210, 125, 982], [0.1609480326942554, 0.8193146900571074])),
+            (0, "synth", ("traj",),
+             ([0.5958105363747868, 0.04586350189281363, 0.8761550488615176],
+              [313, 668, 19], [-0.7444219119990056, 1.806711331343123])),
+            (7, "crossl", ("epoch3", "batch12"),
+             ([0.4780755714981816, 0.3704919071753454, 0.605841514037733],
+              [770, 834, 199], [-1.9735817388854069, 0.5495484132454803])),
+            (123, "test", (), ([0.5100364161115764, 0.4010764543578359, 0.5295281660605958],
+                               [317, 504, 175], [-0.35500065595323005, -0.1513461376751667])),
+        ],
+    )
+    def test_first_draws_pinned(self, seed, label, chain, want):
+        r = ss.RandomStream(seed, label)
+        for c in chain:
+            r = r.child(c)
+        got = (r.random(3).tolist(), r.integers(0, 1000, 3).tolist(), r.normal(size=2).tolist())
+        assert got == want
+
 
 # ---------------------------------------------------------------------------
 # mask sampling

@@ -138,6 +138,20 @@ class TestDropout:
         with pytest.raises(ValueError):
             Dropout("do", 1.0)
 
+    def test_backward_below_dropout_runs_in_float64(self):
+        # Pins current behaviour, not a design choice: the train-mode mask is
+        # a bool array times a Python float, hence float64, so every gradient
+        # below a dropout layer is float64. A float32 mask is faster but moves
+        # gate 6's figures; ROADMAP item 2 records the decision it needs.
+        stack = mlp_blocks("b", 4, [3], _rng("init"))
+        x = np.random.default_rng(0).random((8, 4)).astype(np.float32)
+        y, caches = stack.forward(x, "train", _rng("fwd"))
+        assert y.dtype == np.float32
+        dx, grads = stack.backward(caches, np.ones_like(y))
+        assert dx.dtype == np.float64
+        assert {g.dtype for g in grads.values()} == {np.dtype(np.float64)}
+        assert all(p.dtype == np.float32 for p in stack.params().values())
+
 
 # ---------------------------------------------------------------------------
 # losses

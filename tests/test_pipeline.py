@@ -1,10 +1,11 @@
 """Preprocessing, window aggregation, dataset construction and serialization."""
 
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import stationsense as ss
@@ -22,6 +23,7 @@ from stationsense.pipeline import (
 from stationsense.synth import CsiStream
 
 from conftest import random_batch
+from oracles import aggregate_windows_loop
 
 
 # ---------------------------------------------------------------------------
@@ -135,6 +137,66 @@ class TestAggregateWindow:
             assert hi[i] - lo[i] == inside.sum()
 
 
+def _grid_streams(ticks, k, seed, signed):
+    """One stream per tick list, frames at tick / 4 s, so repeated ticks are
+    bursts of equal timestamps and quarter-second edges hit frames exactly.
+    Signed amplitudes carry +-2**40 spikes that cancel within a window, so
+    the order of a window's sum shows in its float32 bits; unsigned ones are
+    non-negative, as preprocessing gives, over six decades."""
+    gen = np.random.default_rng(seed)
+    streams = []
+    for d, t in enumerate(ticks):
+        amps = gen.random((len(t), k))
+        if signed:
+            amps += 2.0**40 * gen.choice([-1.0, 0.0, 1.0], amps.shape, p=[0.15, 0.7, 0.15])
+        else:
+            amps *= 10.0 ** gen.uniform(-3, 3, (len(t), 1))
+        streams.append(PreprocessedStream(d, np.sort(np.asarray(t, dtype=float)) / 4, amps))
+    return streams
+
+
+_TICKS = st.lists(st.lists(st.integers(0, 40), max_size=60), min_size=1, max_size=3)
+# centers in any order, some far outside the 0-10 s span of the frames
+_CENTERS = st.lists(st.integers(-20, 60), min_size=1, max_size=30)
+# 0.5 s edges fall on the tick grid; a 30 s window covers every frame
+_WIDTHS = st.sampled_from([0.5, 1.0, 2.5, 30.0])
+
+
+class TestScanMatchesLoop:
+    """_aggregate_all against the per-window loop, bit for bit."""
+
+    @staticmethod
+    def _both(ticks, centers, width, k, seed, signed=True):
+        streams = _grid_streams(ticks, k, seed, signed)
+        c = np.asarray(centers, dtype=float) / 4
+        spec = ss.WindowSpec(width, 1.0)
+        return _aggregate_all(streams, c, spec), aggregate_windows_loop(streams, c, spec)
+
+    @settings(max_examples=300, deadline=None)
+    @given(ticks=_TICKS, centers=_CENTERS, width=_WIDTHS, k=st.integers(2, 5), seed=st.integers(0, 2**32 - 1))
+    # an empty stream and a single-frame stream: frame inside, on an edge, outside
+    @example(ticks=[[], [5]], centers=[5, 7, 6, 4, 3, -20], width=0.5, k=2, seed=0)
+    # bursts of equal timestamps, windows of up to 24 frames and empty ones
+    @example(ticks=[[3] * 12 + [4] * 9 + [10] * 3], centers=[4, 3, 10, 40, 9, 4], width=0.5, k=3, seed=1)
+    # every window covers every frame
+    @example(ticks=[list(range(0, 40, 2)) * 2], centers=[20, 0, 40, 7], width=30.0, k=4, seed=2)
+    def test_bitwise_equal_to_loop(self, ticks, centers, width, k, seed):
+        (x, missing), (want_x, want_missing) = self._both(ticks, centers, width, k, seed)
+        np.testing.assert_array_equal(missing, want_missing)
+        np.testing.assert_array_equal(x.view(np.uint32), want_x.view(np.uint32))
+
+    @settings(max_examples=100, deadline=None)
+    @given(ticks=_TICKS, centers=_CENTERS, width=_WIDTHS, seed=st.integers(0, 2**32 - 1))
+    def test_single_subcarrier_within_one_ulp(self, ticks, centers, width, seed):
+        # numpy sums a single column pairwise, not row by row, so with K == 1
+        # the in-order scan may differ from the loop in the float64 last bits;
+        # for non-negative rows, as preprocessing gives, that moves the float32
+        # result by at most one unit in the last place
+        (x, missing), (want_x, want_missing) = self._both(ticks, centers, width, 1, seed, False)
+        np.testing.assert_array_equal(missing, want_missing)
+        np.testing.assert_array_max_ulp(x, want_x, maxulp=1)
+
+
 class TestDetectMissing:
     """Missingness is detected from frame presence when windows are built,
     and from all-zero rows when a model is handed a batch without flags."""
@@ -210,6 +272,31 @@ class TestSplitCounts:
             assert sum(parts) == n
 
 
+def _window_digest(d: ss.Dataset) -> str:
+    h = hashlib.sha256(np.ascontiguousarray(d.x).data)
+    h.update(np.ascontiguousarray(d.missing).data)
+    return h.hexdigest()
+
+
+# sha256 of x then missing bytes for train, val, test and unlabeled, as the
+# per-window loop built them: the conftest 120 s run, and a 16-station desk
+# run (seed 1, desk windowing)
+_GOLDEN_WINDOWS = {
+    "small": (
+        "e0c1c26ace9f686b2e2390637389465d4a8f942c45f47a70575bbd9c51b3977e",
+        "35e59c5b6821cf32ce2fa8e7246bdd7bd2ddf783afef02632a2bdb87b08f6238",
+        "421446ed4fc56e89f722da5ae7a8eef0f35cf4298a05905e92ee3b092f1fc212",
+        "cc93db2ac6854cc8fa659ca15680bd042daa9395413d64bddf5eb61d69c0a04f",
+    ),
+    "desk16": (
+        "1a81207cbea8282dc9a394e1c5d6c904b2a4422a97df05b87803b18d9bc8a8af",
+        "c406ddb57d702e558a8b29e63343bfb00a0c4300081ab92849dd8b98dff29069",
+        "b9d64d0ed21a2cd59db5cac825cc1d78e3331704a47a55b4bb0e2be1a6057be8",
+        "539017fa83b32fd81c1d08297035384a07c09981dcf5d22cd65cb542afa238a7",
+    ),
+}
+
+
 class TestBuildDatasets:
     def test_splits_are_time_contiguous_and_sized(self, small_datasets):
         train, val, test, _ = small_datasets
@@ -235,6 +322,21 @@ class TestBuildDatasets:
                     np.testing.assert_array_equal(
                         full_x[i, d], want.astype(np.float32)
                     )
+
+    def test_golden_window_bytes(self, small_datasets):
+        for d, want in zip(small_datasets, _GOLDEN_WINDOWS["small"]):
+            assert _window_digest(d) == want, d.split
+        scenario = replace(ss.desk_scenario(), n_stations=16, station_positions=None)
+        win = ss.desk_windowing()
+        rng = ss.RandomStream(1, "sim")
+        traj = ss.gen_trajectory(scenario, rng.child("traj"))
+        streams = ss.gen_csi_streams(scenario, traj, rng.child("streams"))
+        spec = win.labeled_spec()
+        splits = ss.build_labeled_dataset(streams, traj, spec, win.split_ratios)
+        train_end = float(splits[0].timestamps[-1]) + spec.width_s / 2
+        splits += (ss.build_unlabeled_dataset(streams, win.unlabeled_spec(), win.label_rate_hz, train_end),)
+        for d, want in zip(splits, _GOLDEN_WINDOWS["desk16"]):
+            assert _window_digest(d) == want, d.split
 
     def test_labels_match_trajectory(self, small_run, small_datasets):
         _, traj, _ = small_run

@@ -33,6 +33,7 @@ from .pipeline import (
 from .nnkit import (
     CheckpointError,
     FitResult,
+    GroupedStack,
     MlpStack,
     TrainConfig,
     TrainingDiverged,

@@ -3,18 +3,20 @@
 Two views of each sample are produced by independently masking per-station
 embeddings, both views are fused by the shared aggregator, and a
 variance/invariance/covariance loss is minimized so that the global embedding
-becomes invariant to which stations are present.
+becomes invariant to which stations are present. Learnable station encoders
+are one nnkit.GroupedStack over the station axis, so encoding a batch is one
+batched forward (and one backward) for all stations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from .core import RandomStream, sample_mask_matrix
-from .nnkit import FitResult, MlpStack, TrainConfig, fit_loop, mlp_blocks
+from .nnkit import FitResult, GroupedStack, MlpStack, TrainConfig, fit_loop, mlp_blocks
 from .pipeline import Dataset
 
 
@@ -121,15 +123,16 @@ def vicreg_loss_grads(z, z2, w: VicregWeights):
 
 
 class FeatureExtractor:
-    """Per-station encoders (identity or MLP) plus a shared aggregator over
-    the concatenated station embeddings."""
+    """Per-station encoders (identity, or one MLP per station run together
+    as a GroupedStack) plus a shared aggregator over the concatenated station
+    embeddings."""
 
     def __init__(
         self,
         n_stations: int,
         input_dim: int,
         aggregator: MlpStack,
-        encoders: Optional[List[MlpStack]] = None,
+        encoders: Optional[GroupedStack] = None,
         encoder_dim: Optional[int] = None,
         embedding_dim: Optional[int] = None,
     ):
@@ -145,7 +148,8 @@ class FeatureExtractor:
         return self.encoders is None
 
     def encode_batch(self, xb: np.ndarray, mode: str, rng: Optional[RandomStream]):
-        """(n, N_d, K) -> (n, N_d, e) embeddings plus caches."""
+        """(n, N_d, K) -> (n, N_d, e) embeddings plus caches. Station d's
+        encoder draws from `rng.child(f"enc{d}")`."""
         if xb.shape[1] != self.n_stations or xb.shape[2] != self.input_dim:
             raise ValueError(
                 f"batch shape {xb.shape} incompatible with extractor "
@@ -153,23 +157,14 @@ class FeatureExtractor:
             )
         if self.identity_encoders:
             return xb, None
-        outs = []
-        caches = []
-        for d, enc in enumerate(self.encoders):
-            crng = rng.child(f"enc{d}") if rng is not None else None
-            y, cache = enc.forward(xb[:, d, :], mode, crng)
-            outs.append(y)
-            caches.append(cache)
-        return np.stack(outs, axis=1), caches
+        rngs = None if rng is None else [rng.child(f"enc{d}") for d in range(self.n_stations)]
+        q, caches = self.encoders.forward(xb.transpose(1, 0, 2), mode, rngs)
+        return q.transpose(1, 0, 2), caches
 
     def encode_backward(self, caches, dq: np.ndarray) -> Dict[str, np.ndarray]:
         if self.identity_encoders:
             return {}
-        grads: Dict[str, np.ndarray] = {}
-        for d, enc in enumerate(self.encoders):
-            _, g = enc.backward(caches[d], dq[:, d, :])
-            grads.update(g)
-        return grads
+        return self.encoders.backward(caches, dq.transpose(1, 0, 2))
 
     def aggregate_batch(self, qb: np.ndarray, mode: str, rng: Optional[RandomStream]):
         n = qb.shape[0]
@@ -188,15 +183,13 @@ class FeatureExtractor:
     def params(self) -> Dict[str, np.ndarray]:
         out = dict(self.aggregator.params())
         if self.encoders is not None:
-            for enc in self.encoders:
-                out.update(enc.params())
+            out.update(self.encoders.params())
         return out
 
     def buffers(self) -> Dict[str, np.ndarray]:
         out = dict(self.aggregator.buffers())
         if self.encoders is not None:
-            for enc in self.encoders:
-                out.update(enc.buffers())
+            out.update(self.encoders.buffers())
         return out
 
     def cast(self, dtype) -> "FeatureExtractor":
@@ -204,7 +197,7 @@ class FeatureExtractor:
             self.n_stations,
             self.input_dim,
             self.aggregator.cast(dtype),
-            None if self.encoders is None else [e.cast(dtype) for e in self.encoders],
+            None if self.encoders is None else self.encoders.cast(dtype),
             self.encoder_dim,
             self.embedding_dim,
         )
@@ -220,15 +213,17 @@ def build_extractor(
     dropout_rate: float = 0.3,
 ) -> FeatureExtractor:
     """Identity station encoders by default (inputs are already aggregated
-    amplitude vectors); set encoder_widths for learnable per-station MLPs."""
+    amplitude vectors); set encoder_widths for learnable per-station MLPs,
+    built station by station (station d from `rng.child(f"enc{d}")`) and
+    grouped into one GroupedStack."""
     encoders = None
     enc_dim = input_dim
     if encoder_widths:
         enc_dim = encoder_widths[-1]
-        encoders = [
+        encoders = GroupedStack.stack([
             mlp_blocks(f"enc{d}", input_dim, list(encoder_widths), rng.child(f"enc{d}"), dropout_rate)
             for d in range(n_stations)
-        ]
+        ])
     aggregator = mlp_blocks(
         "agg",
         n_stations * enc_dim,

@@ -18,6 +18,7 @@ from .nnkit import (
     Dense,
     Dropout,
     FitResult,
+    GroupedStack,
     MlpStack,
     Relu,
     TrainConfig,
@@ -239,18 +240,23 @@ def train_naive(
 
 
 class EnsembleModel:
-    """One independent model per station; prediction is the member mean.
-    Members of missing stations still see the zero placeholder."""
+    """One independent head-only model per station; prediction is the member
+    mean. Members of missing stations still see the zero placeholder. The
+    member heads run as one GroupedStack that owns their parameters: each
+    member's head holds views of it, so members stay usable on their own."""
 
     def __init__(self, members: List[SensingModel]):
+        if any(m.extractor is not None for m in members):
+            raise ValueError("ensemble members must be head-only models")
         self.members = members
+        self.heads = GroupedStack.stack([m.head for m in members])
 
     def predict(self, xb: np.ndarray) -> np.ndarray:
         xb = np.asarray(xb, dtype=np.float32)
-        preds = [
-            m.predict(xb[:, d : d + 1, :]) for d, m in enumerate(self.members)
-        ]
-        return np.mean(preds, axis=0)
+        if xb.ndim != 3 or xb.shape[1] != len(self.members):
+            raise ValueError(f"batch shape {xb.shape} does not match {len(self.members)} members")
+        out, _ = self.heads.forward(xb.transpose(1, 0, 2), "eval")
+        return out[:, :, 0].mean(axis=0)
 
 
 def train_ensemble(labeled: Dataset, tc: TrainConfig, rng: RandomStream) -> EnsembleModel:
@@ -376,14 +382,14 @@ def _extractor_manifest(fx: FeatureExtractor) -> dict:
         "encoder_dim": fx.encoder_dim,
         "embedding_dim": fx.embedding_dim,
         "aggregator": fx.aggregator.manifest(),
-        "encoders": None if fx.encoders is None else [e.manifest() for e in fx.encoders],
+        "encoders": None if fx.encoders is None else fx.encoders.manifests(),
     }
 
 
 def _extractor_from_manifest(m: dict) -> FeatureExtractor:
     encoders = None
     if m["encoders"] is not None:
-        encoders = [MlpStack.from_manifest(e) for e in m["encoders"]]
+        encoders = GroupedStack.stack([MlpStack.from_manifest(e) for e in m["encoders"]])
     return FeatureExtractor(
         m["n_stations"], m["input_dim"], MlpStack.from_manifest(m["aggregator"]), encoders,
         m["encoder_dim"], m["embedding_dim"],

@@ -3,6 +3,9 @@
 Covers exactly what the training recipes need: dense layers, ReLU, batch
 normalization, inverted dropout, MSE-style losses, Adam, a training loop with
 train-loss early stopping, and a central-difference gradient checker.
+`GroupedStack` runs G same-shaped stacks (one per station) as one, with a
+single batched op per layer over a leading group axis; it computes bit for
+bit what the G stacks compute one at a time.
 Parameters, Adam moments and forward activations are float32. In train
 mode Dropout keeps its mask as a float64 array (a bool mask times a Python
 float), so the gradients of every layer below a dropout layer, and the
@@ -277,6 +280,213 @@ def mlp_head(prefix: str, n_in: int, hidden: int, n_out: int, rng: RandomStream,
             Dense(f"{prefix}.h1", hidden, n_out, rng.child(f"{prefix}.h1"), dtype),
         ]
     )
+
+
+# ---------------------------------------------------------------------------
+# grouped stack: G same-shaped stacks as one
+# ---------------------------------------------------------------------------
+
+
+class _GroupedLayer:
+    """One layer of G same-shaped stacks: each parameter and buffer is one
+    (G, ...) array. It acts on a (G, n, w) block and may overwrite its
+    input, which is always the previous layer's fresh output (a GroupedStack
+    starts with a dense layer, which never writes to its input)."""
+
+    def __init__(self, peers: List):
+        self.kind = peers[0].kind
+        self.specs = [p.spec() for p in peers]  # per-group specs, names included
+        self.names = [s["name"] for s in self.specs]
+        self.params = {k: np.stack([p.params[k] for p in peers]) for k in peers[0].params}
+        self.buffers = {k: np.stack([p.buffers[k] for p in peers]) for k in peers[0].buffers}
+
+
+class _GroupedDense(_GroupedLayer):
+    def forward(self, x, train, rngs):
+        y = x @ self.params["w"]
+        y += self.params["b"][:, None]
+        return y, x
+
+    def backward(self, x, dy, need_dx):
+        grads = {"w": x.transpose(0, 2, 1) @ dy, "b": dy.sum(axis=1)}
+        return (dy @ self.params["w"].transpose(0, 2, 1) if need_dx else None), grads
+
+
+class _GroupedRelu(_GroupedLayer):
+    def forward(self, x, train, rngs):
+        mask = x > 0 if train else None  # 0 subgradient at the kink
+        return np.maximum(x, 0, out=x), mask
+
+    def backward(self, mask, dy, need_dx):
+        return dy * mask, {}
+
+
+class _GroupedBatchNorm(_GroupedLayer):
+    """Per-group statistics over the n axis; running buffers are (G, w)."""
+
+    def forward(self, x, train, rngs):
+        rm, rv = self.buffers["running_mean"], self.buffers["running_var"]
+        if train:
+            mu = x.mean(axis=1)
+            var = x.var(axis=1)  # biased (1/n) batch estimator
+            rm[...] = BN_MOMENTUM * rm + (1 - BN_MOMENTUM) * mu
+            rv[...] = BN_MOMENTUM * rv + (1 - BN_MOMENTUM) * var
+        else:
+            mu, var = rm, rv
+        std = np.sqrt(var + BN_EPS)[:, None]
+        xhat = x
+        xhat -= mu[:, None]
+        xhat /= std
+        gamma, beta = self.params["gamma"][:, None], self.params["beta"][:, None]
+        if not train:
+            xhat *= gamma
+            xhat += beta
+            return xhat, None
+        y = xhat * gamma
+        y += beta
+        return y, (xhat, std)
+
+    def backward(self, cache, dy, need_dx):
+        xhat, std = cache
+        grads = {"gamma": (dy * xhat).sum(axis=1), "beta": dy.sum(axis=1)}
+        dx = dy * self.params["gamma"][:, None]
+        m1 = dx.mean(axis=1, keepdims=True)
+        m2 = (dx * xhat).mean(axis=1, keepdims=True)
+        dx -= m1
+        dx -= xhat * m2
+        dx /= std
+        return dx, grads
+
+
+class _GroupedDropout(_GroupedLayer):
+    """Group g draws its mask from its own stream `rngs[g]`, exactly as its
+    own stack would; the kept mask is float64, as in Dropout."""
+
+    def forward(self, x, train, rngs):
+        rate = self.specs[0]["rate"]
+        if not train or rate == 0.0:
+            return x, None
+        if rngs is None:
+            raise ValueError("dropout in train mode requires an RNG stream")
+        keep = np.stack([r.random(x.shape[1:]) for r in rngs]) >= rate
+        scale = 1.0 / (1.0 - rate)  # inverted scaling
+        x *= keep
+        x *= scale
+        return x, keep * scale
+
+    def backward(self, mask, dy, need_dx):
+        if mask is None:
+            return dy, {}
+        return dy * mask, {}
+
+
+_GROUPED_KINDS = {
+    "dense": _GroupedDense,
+    "relu": _GroupedRelu,
+    "batchnorm": _GroupedBatchNorm,
+    "dropout": _GroupedDropout,
+}
+
+
+class GroupedStack:
+    """G same-shaped MlpStacks run as one, e.g. one encoder per station.
+
+    Every layer holds one (G, ...) array per parameter and acts on a whole
+    (G, n, w) block: dense layers are one np.matmul over the leading group
+    axis, batch norm keeps per-group statistics, dropout draws group g's
+    mask from `rngs[g]`. Group g computes bit for bit what its own MlpStack
+    computes. Eval mode is inference only: it keeps no caches and works in
+    place on each layer's fresh output.
+
+    Parameters keep their per-group names: params(), buffers() and the
+    gradients of backward() are keyed `<group layer name>.<param>` and are
+    views of the group arrays, so an optimizer or a checkpoint reads and
+    writes the one copy."""
+
+    def __init__(self, layers: List[_GroupedLayer]):
+        if not layers or layers[0].kind != "dense":
+            raise ValueError("a grouped stack must start with a dense layer")
+        self.layers = layers
+
+    @staticmethod
+    def stack(stacks: List[MlpStack]) -> "GroupedStack":
+        """Group same-shaped stacks. Their arrays move into the group: each
+        stack's layers afterwards hold views of the group arrays, so the
+        stacks stay usable and share the group's storage."""
+        if not stacks:
+            raise ValueError("no stacks to group")
+        specs = [[{k: v for k, v in layer.spec().items() if k != "name"} for layer in s.layers]
+                 for s in stacks]
+        if any(s != specs[0] for s in specs):
+            raise ValueError("grouped stacks must have the same layers and shapes")
+        layers = []
+        for peers in zip(*(s.layers for s in stacks)):
+            layer = _GROUPED_KINDS[peers[0].kind](list(peers))
+            for g, peer in enumerate(peers):
+                peer.params = {k: v[g] for k, v in layer.params.items()}
+                peer.buffers = {k: v[g] for k, v in layer.buffers.items()}
+            layers.append(layer)
+        return GroupedStack(layers)
+
+    def forward(self, x, mode="train", rngs: Optional[List[RandomStream]] = None):
+        """(G, n, w_in) block -> (G, n, w_out) block plus caches (None in
+        eval mode). `rngs` holds one stream per group; layer i of group g
+        draws from `rngs[g].child(f"l{i}")`, as MlpStack.forward does."""
+        train = mode == "train"
+        caches = [] if train else None
+        for i, layer in enumerate(self.layers):
+            lrngs = None
+            if train and rngs is not None and layer.kind == "dropout":
+                lrngs = [r.child(f"l{i}") for r in rngs]
+            x, cache = layer.forward(x, train, lrngs)
+            if train:
+                caches.append(cache)
+        return x, caches
+
+    def backward(self, caches, dy) -> Dict[str, np.ndarray]:
+        """Per-group parameter gradients from train-mode caches and the
+        (G, n, w_out) output gradient. No caller needs the gradient with
+        respect to the stack's input, so it is not computed."""
+        if caches is None:
+            raise ValueError("backward needs the caches of a train-mode forward")
+        # numpy's reduction order over n follows the memory layout: a C-ordered
+        # block sums each group as its own (n, w) stack would (a transposed
+        # view does not when w == 1)
+        dy = np.ascontiguousarray(dy)
+        grads: Dict[str, np.ndarray] = {}
+        for i in range(len(self.layers) - 1, -1, -1):
+            layer = self.layers[i]
+            dy, layer_grads = layer.backward(caches[i], dy, i > 0)
+            for pname, g in layer_grads.items():
+                grads.update((f"{name}.{pname}", gg) for name, gg in zip(layer.names, g))
+        return grads
+
+    def _named(self, attr) -> Dict[str, np.ndarray]:
+        return {
+            f"{layer.names[g]}.{k}": v[g]
+            for g in range(len(self.layers[0].names))
+            for layer in self.layers
+            for k, v in getattr(layer, attr).items()
+        }
+
+    def params(self) -> Dict[str, np.ndarray]:
+        return self._named("params")
+
+    def buffers(self) -> Dict[str, np.ndarray]:
+        return self._named("buffers")
+
+    def cast(self, dtype) -> "GroupedStack":
+        """Deep copy with parameters/buffers cast to dtype."""
+        clone = copy.deepcopy(self)
+        for layer in clone.layers:
+            for arrays in (layer.params, layer.buffers):
+                for k in arrays:
+                    arrays[k] = arrays[k].astype(dtype)
+        return clone
+
+    def manifests(self) -> list:
+        """One MlpStack manifest per group."""
+        return [list(specs) for specs in zip(*(layer.specs for layer in self.layers))]
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import struct
 import zlib
 from dataclasses import dataclass, field
@@ -293,6 +294,7 @@ class DatasetFormatError(Exception):
 
 
 _HEADER = struct.Struct("<IIIQBB16sQ")
+_IO_CHUNK_BYTES = 1 << 22
 
 
 def _record_dtype(n_d: int, k: int, labeled: bool) -> np.dtype:
@@ -303,9 +305,22 @@ def _record_dtype(n_d: int, k: int, labeled: bool) -> np.dtype:
     return np.dtype(fields)
 
 
+def _write(f, part, crc: int) -> int:
+    f.write(part)
+    return zlib.crc32(part, crc)
+
+
+def _read_into(f, view: memoryview, crc: int) -> int:
+    if f.readinto(view) != len(view):
+        raise DatasetFormatError("truncated dataset file")
+    return zlib.crc32(view, crc)
+
+
 def save_dataset(d: Dataset, path) -> None:
     """Versioned binary file: header, float32 records (amplitudes, missing
-    flags, optional label per sample), timestamps, trailing CRC32."""
+    flags, optional label per sample), timestamps, trailing CRC32. Records
+    are encoded _IO_CHUNK_BYTES at a time, so the file is never held in
+    memory."""
     shash = bytes.fromhex(d.provenance.get("scenario_hash", "0" * 32))
     seed = int(d.provenance.get("seed", 0))
     header = _MAGIC + _HEADER.pack(
@@ -318,45 +333,65 @@ def save_dataset(d: Dataset, path) -> None:
         shash,
         seed,
     )
-    records = np.empty(d.n, _record_dtype(d.n_stations, d.k, d.labeled))
-    records["x"] = d.x
-    records["m"] = d.missing
-    if d.labeled:
-        records["y"] = d.labels
-    timestamps = np.ascontiguousarray(d.timestamps, dtype="<f8")
-    crc = 0
+    rec = _record_dtype(d.n_stations, d.k, d.labeled)
+    step = max(1, _IO_CHUNK_BYTES // rec.itemsize)
     with open(path, "wb") as f:
-        for part in (header, records, timestamps):
-            f.write(part)
-            crc = zlib.crc32(part, crc)
+        crc = _write(f, header, 0)
+        for lo in range(0, d.n, step):
+            chunk = np.empty(min(step, d.n - lo), rec)
+            chunk["x"] = d.x[lo : lo + step]
+            chunk["m"] = d.missing[lo : lo + step]
+            if d.labeled:
+                chunk["y"] = d.labels[lo : lo + step]
+            crc = _write(f, chunk, crc)
+        crc = _write(f, np.ascontiguousarray(d.timestamps, dtype="<f8"), crc)
         f.write(struct.pack("<I", crc))
 
 
 def load_dataset(path) -> Dataset:
-    with open(path, "rb") as f:
-        raw = f.read()
+    """Read a save_dataset file. The file size is checked against the header
+    before any record is read; records are then decoded _IO_CHUNK_BYTES at a
+    time straight into the returned arrays, with a running CRC32."""
     head = len(_MAGIC) + _HEADER.size
-    if len(raw) < head + 4 or raw[:4] != _MAGIC:
-        raise DatasetFormatError("not a dataset file (bad magic or truncated)")
-    (crc_stored,) = struct.unpack("<I", raw[-4:])
-    if zlib.crc32(memoryview(raw)[:-4]) != crc_stored:
+    with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+        header = f.read(head)
+        if size < head + 4 or header[:4] != _MAGIC:
+            raise DatasetFormatError("not a dataset file (bad magic or truncated)")
+        version, n_d, k, n, labeled, split_code, shash, seed = _HEADER.unpack_from(header, 4)
+        if version != _FORMAT_VERSION:
+            raise DatasetFormatError(f"unsupported format version {version}")
+        rec = _record_dtype(n_d, k, bool(labeled))
+        payload, expected = size - head - 4, n * rec.itemsize + n * 8
+        if payload != expected:
+            raise DatasetFormatError(
+                f"payload size {payload} does not match header (expected {expected})"
+            )
+        x = np.empty((n, n_d, k), np.float32)
+        missing = np.empty((n, n_d), bool)
+        labels = np.empty(n, np.float32) if labeled else None
+        timestamps = np.empty(n, "<f8")
+        step = max(1, _IO_CHUNK_BYTES // rec.itemsize)
+        buf = memoryview(bytearray(min(n, step) * rec.itemsize))
+        crc = zlib.crc32(header)
+        for lo in range(0, n, step):
+            view = buf[: min(step, n - lo) * rec.itemsize]
+            crc = _read_into(f, view, crc)
+            chunk = np.frombuffer(view, rec)
+            x[lo : lo + step] = chunk["x"]
+            missing[lo : lo + step] = chunk["m"]
+            if labeled:
+                labels[lo : lo + step] = chunk["y"]
+        crc = _read_into(f, memoryview(timestamps).cast("B"), crc)
+        (crc_stored,) = struct.unpack("<I", f.read(4))
+    if crc != crc_stored:
         raise DatasetFormatError("checksum failure")
-    version, n_d, k, n, labeled, split_code, shash, seed = _HEADER.unpack_from(raw, 4)
-    if version != _FORMAT_VERSION:
-        raise DatasetFormatError(f"unsupported format version {version}")
-    rec = _record_dtype(n_d, k, bool(labeled))
-    payload, expected = len(raw) - head - 4, n * rec.itemsize + n * 8
-    if payload != expected:
-        raise DatasetFormatError(
-            f"payload size {payload} does not match header (expected {expected})"
-        )
-    records = np.frombuffer(raw, rec, n, head)
     return Dataset(
         split=_SPLIT_NAMES.get(split_code, "unlabeled"),
-        x=records["x"].astype(np.float32),
-        missing=records["m"].astype(bool),
-        labels=records["y"].astype(np.float32) if labeled else None,
-        timestamps=np.frombuffer(raw, "<f8", n, head + n * rec.itemsize).astype(np.float64),
+        x=x,
+        missing=missing,
+        labels=labels,
+        timestamps=timestamps,
         provenance={"scenario_hash": shash.hex(), "seed": seed},
     )
 

@@ -3,6 +3,7 @@ definitions: one sample and one station at a time."""
 
 import numpy as np
 
+from stationsense.nnkit import MlpStack
 from stationsense.pipeline import window_bounds
 
 
@@ -36,3 +37,44 @@ def aggregate_windows_loop(pstreams, centers, spec):
             else:
                 missing[i, d] = True
     return x, missing
+
+
+def station_stacks(encoders):
+    """Independent per-station MlpStack copies of a GroupedStack: same
+    manifests, copied parameters and buffers."""
+    params, buffers = encoders.params(), encoders.buffers()
+    stacks = []
+    for manifest in encoders.manifests():
+        stack = MlpStack.from_manifest(manifest)
+        for layer in stack.layers:
+            for k in layer.params:
+                layer.params[k] = params[f"{layer.name}.{k}"].copy()
+            for k in layer.buffers:
+                layer.buffers[k] = buffers[f"{layer.name}.{k}"].copy()
+        stacks.append(stack)
+    return stacks
+
+
+def encode_loop(stacks, xb, mode, rng):
+    """The per-station encoder loop: station d's own stack on xb[:, d, :],
+    drawing from rng.child(f"enc{d}"); embeddings stacked to (n, N_d, e)."""
+    outs, caches = [], []
+    for d, enc in enumerate(stacks):
+        y, cache = enc.forward(xb[:, d, :], mode, None if rng is None else rng.child(f"enc{d}"))
+        outs.append(y)
+        caches.append(cache)
+    return np.stack(outs, axis=1), caches
+
+
+def encode_backward_loop(stacks, caches, dq):
+    """Parameter gradients of encode_loop, one station at a time."""
+    grads = {}
+    for d, enc in enumerate(stacks):
+        grads.update(enc.backward(caches[d], dq[:, d, :])[1])
+    return grads
+
+
+def ensemble_predict_loop(members, xb):
+    """Mean of each member's prediction on its own station."""
+    xb = np.asarray(xb, dtype=np.float32)
+    return np.mean([m.predict(xb[:, d : d + 1, :]) for d, m in enumerate(members)], axis=0)

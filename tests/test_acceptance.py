@@ -65,6 +65,8 @@ from stationsense.pipeline import (
     preprocess_stream,
 )
 
+pytestmark = pytest.mark.slow
+
 SEEDS = (0, 1, 2)
 AVAILABILITY_LEVELS = (1, 4, 8)
 LABEL_RATIOS = (0.05, 0.25, 1.0)

@@ -100,6 +100,33 @@ class TestSampleMaskSet:
         sizes = sample_mask_matrix(0.5, 100_000, 8, r).sum(axis=1)
         assert abs(sizes.mean() - 4.0) < 0.05
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        p1=st.floats(0.0, 1.0),
+        p2=st.floats(0.0, 1.0),
+        n=st.integers(0, 40),
+        n_d=st.integers(1, 16),
+        seed=st.integers(0, 10_000),
+    )
+    def test_mask_matrix_properties(self, p1, p2, n, n_d, seed):
+        p1, p2 = min(p1, p2), max(p1, p2)
+
+        def draw(p):
+            r = ss.RandomStream(seed, "prop")
+            return sample_mask_matrix(p, n, n_d, r), r
+
+        m1, r1 = draw(p1)
+        m2, _ = draw(p2)
+        assert m1.shape == (n, n_d) and m1.dtype == bool
+        # exactly n * N_d draws consumed: the stream's next draw is the one
+        # after that many manual draws
+        manual = ss.RandomStream(seed, "prop")
+        manual.random(n * n_d)
+        assert r1.random() == manual.random()
+        # one stream: a lower rate masks a subset of what a higher rate masks
+        assert not (m1 & ~m2).any()
+        assert not draw(0.0)[0].any() and draw(1.0)[0].all()
+
     def test_matrix_rows_equal_sequential_set_draws(self):
         r1 = ss.RandomStream(5, "x")
         r2 = ss.RandomStream(5, "x")

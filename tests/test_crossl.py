@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import stationsense as ss
 from stationsense.crossl import (
@@ -14,6 +16,8 @@ from stationsense.crossl import (
     vicreg_variance_grad,
 )
 from stationsense.nnkit import Dense, MlpStack
+
+from oracles import encode_backward_loop, encode_loop, station_stacks
 
 
 # ---------------------------------------------------------------------------
@@ -259,6 +263,79 @@ class TestFeatureExtractor:
         zero = fx.embed(np.zeros((1, 4, 6), dtype=np.float32))
         np.testing.assert_allclose(z1, zero, atol=1e-6)
         assert not np.allclose(z2, zero)
+
+
+def _bits(a):
+    a = np.ascontiguousarray(a)
+    return a.dtype.str, a.shape, a.tobytes()
+
+
+class TestGroupedEncoders:
+    """The station encoders run as one GroupedStack; each station must
+    compute bit for bit what its own MlpStack computes in the per-station
+    loop (tests/oracles.py)."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n_d=st.sampled_from([1, 3, 16]),
+        n=st.integers(1, 40),
+        k=st.integers(1, 12),
+        widths=st.lists(st.integers(1, 12), min_size=1, max_size=2),
+        rate=st.sampled_from([0.0, 0.3]),
+        f64=st.booleans(),
+        dq64=st.booleans(),
+        seed=st.integers(0, 10_000),
+    )
+    def test_bitwise_equal_to_station_loop(self, n_d, n, k, widths, rate, f64, dq64, seed):
+        fx = ss.build_extractor(n_d, k, ss.RandomStream(seed, "fx"), embedding_dim=3,
+                                aggregator_hidden=(4, 4), encoder_widths=tuple(widths),
+                                dropout_rate=rate)
+        gen = np.random.default_rng(seed)
+        xb = gen.standard_normal((n, n_d, k)).astype(np.float32)
+        if f64:
+            fx, xb = fx.cast(np.float64), xb.astype(np.float64)
+        # eval between two train passes sees running statistics moved by the first
+        for mode in ("train", "eval", "train"):
+            stacks = station_stacks(fx.encoders)
+            rng = ss.RandomStream(seed, "enc")
+            q, caches = fx.encode_batch(xb, mode, rng)
+            q_loop, caches_loop = encode_loop(stacks, xb, mode, rng)
+            assert _bits(q) == _bits(q_loop)
+            loop_buffers = {name: b for s in stacks for name, b in s.buffers().items()}
+            for name, b in fx.encoders.buffers().items():
+                assert _bits(b) == _bits(loop_buffers[name]), name
+            if mode == "train":
+                dq = gen.standard_normal(q.shape)
+                if not dq64:
+                    dq = dq.astype(np.float32)
+                grads = fx.encode_backward(caches, dq)
+                want = encode_backward_loop(stacks, caches_loop, dq)
+                assert grads.keys() == want.keys()
+                for name in want:
+                    assert _bits(grads[name]) == _bits(want[name]), name
+
+    def test_parameters_are_views_of_the_group(self):
+        fx = ss.build_extractor(3, 4, ss.RandomStream(0, "fx"), embedding_dim=3,
+                                aggregator_hidden=(4, 4), encoder_widths=(5,))
+        w = fx.encoders.layers[0].params["w"]
+        assert w.shape == (3, 4, 5)
+        for d in range(3):
+            assert np.shares_memory(fx.params()[f"enc{d}.b0.dense.w"], w[d])
+        # what an optimizer writes through a per-station name reaches the group
+        fx.params()["enc1.b0.dense.w"][...] = 0.0
+        assert not w[1].any() and w[0].any()
+
+    def test_eval_keeps_no_caches_and_backward_needs_them(self):
+        fx = ss.build_extractor(2, 4, ss.RandomStream(0, "fx"), encoder_widths=(5,))
+        q, caches = fx.encode_batch(np.ones((3, 2, 4), np.float32), "eval", None)
+        assert caches is None
+        with pytest.raises(ValueError):
+            fx.encode_backward(caches, np.ones(q.shape))
+
+    def test_train_dropout_needs_a_stream(self):
+        fx = ss.build_extractor(2, 4, ss.RandomStream(0, "fx"), encoder_widths=(5,))
+        with pytest.raises(ValueError, match="RNG stream"):
+            fx.encode_batch(np.ones((3, 2, 4), np.float32), "train", None)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from stationsense.downstream import (
 from stationsense.nnkit import read_bundle, write_bundle
 
 from conftest import random_batch
-from oracles import sma_augment_one
+from oracles import ensemble_predict_loop, sma_augment_one
 
 
 def small_settings(epochs=30):
@@ -302,6 +302,46 @@ class TestEnsemble:
                 np.testing.assert_array_equal(a, b)
 
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n_d=st.sampled_from([1, 3, 16]),
+        n=st.integers(1, 30),
+        k=st.integers(1, 8),
+        seed=st.integers(0, 10_000),
+    )
+    def test_grouped_predict_bitwise_equal_to_member_loop(self, n_d, n, k, seed):
+        members = [
+            ss.SensingModel(None, ss.build_head(k, ss.RandomStream(seed, f"m{d}")), "joint")
+            for d in range(n_d)
+        ]
+        model = ss.EnsembleModel(members)
+        xb = np.random.default_rng(seed).standard_normal((n, n_d, k)).astype(np.float32)
+        xb[:, n_d // 2] = 0.0  # a missing station's placeholder
+        got, want = model.predict(xb), ensemble_predict_loop(members, xb)
+        assert got.dtype == want.dtype and got.shape == (n,)
+        assert got.tobytes() == want.tobytes()
+
+    def test_members_share_the_group_parameters(self):
+        members = [ss.SensingModel(None, ss.build_head(4, ss.RandomStream(0, f"m{d}")), "joint")
+                   for d in range(3)]
+        model = ss.EnsembleModel(members)
+        # an in-place update of one member, as Adam makes, is what the group predicts with
+        members[1].head.params()["head.h1.b"][...] = 5.0
+        xb = np.random.default_rng(0).random((4, 3, 4)).astype(np.float32)
+        np.testing.assert_array_equal(model.predict(xb), ensemble_predict_loop(members, xb))
+        assert model.heads.layers[2].params["b"][1, 0] == 5.0
+
+    def test_rejects_extractors_and_wrong_station_count(self):
+        fx = ss.build_extractor(1, 4, ss.RandomStream(0, "fx"), embedding_dim=3)
+        with pytest.raises(ValueError, match="head-only"):
+            ss.EnsembleModel([ss.SensingModel(fx, ss.build_head(3, ss.RandomStream(0, "h")))])
+        model = ss.EnsembleModel(
+            [ss.SensingModel(None, ss.build_head(4, ss.RandomStream(0, f"m{d}"))) for d in range(3)]
+        )
+        with pytest.raises(ValueError, match="members"):
+            model.predict(np.zeros((2, 1, 4), np.float32))
+
+
 class TestDenoisingAutoencoder:
     def test_reconstruction_shape_and_loss_decrease(self, small_datasets):
         unlabeled = small_datasets[3]
@@ -418,6 +458,37 @@ class TestCheckpointCodec:
             p = tmp_path / tag
             ss.save_checkpoint(obj, p, meta)
             assert hashlib.sha256(p.read_bytes()).hexdigest() == self.GOLDEN_SHA256[tag], tag
+
+    # sha256 of the golden checkpoints' outputs on a fixed batch after a
+    # load, recorded with the per-station encoder loop (x86-64, numpy's
+    # OpenBLAS; another BLAS may round differently)
+    GOLDEN_OUTPUT_SHA256 = {
+        "fx": "9b8e0f3a86ad2b16a7fe30aa659d3fd2b50b84a5df1213e5933f0bb197db7ca8",
+        "model": "26285250f15896f1b2835f8192f8ccdc3c47092394c2ca052f55dbb03246ecb7",
+    }
+
+    def test_golden_checkpoints_load_and_predict(self, tmp_path):
+        # files in the pinned format load into grouped encoders and compute
+        # what the per-station encoders computed
+        fx, model, _ = _golden_objects()
+        xb = np.random.default_rng(5).standard_normal((6, 3, 4)).astype(np.float32)
+        xb[2, 1] = 0.0
+        for tag, obj, meta in (("fx", fx, {"note": "golden"}), ("model", model, {"seed": 0})):
+            p = tmp_path / tag
+            ss.save_checkpoint(obj, p, meta)
+            assert hashlib.sha256(p.read_bytes()).hexdigest() == self.GOLDEN_SHA256[tag], tag
+            back = ss.load_checkpoint(p)
+            out = back.embed(xb) if tag == "fx" else back.predict(xb)
+            assert out.dtype == np.float32
+            assert hashlib.sha256(out.tobytes()).hexdigest() == self.GOLDEN_OUTPUT_SHA256[tag], tag
+
+    def test_mismatched_station_encoders_rejected(self, tmp_path):
+        def widen(m, a):
+            m["encoders"][1][0]["n_out"] = 6
+
+        p = self._rewrite(tmp_path, widen)
+        with pytest.raises(ss.CheckpointError, match="same layers"):
+            ss.load_checkpoint(p)
 
     def _rewrite(self, tmp_path, edit):
         """Save the golden extractor, let `edit` change its manifest and

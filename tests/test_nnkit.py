@@ -12,6 +12,7 @@ from stationsense.nnkit import (
     BatchNorm,
     Dense,
     Dropout,
+    GroupedStack,
     MlpStack,
     Relu,
     TrainConfig,
@@ -156,6 +157,36 @@ class TestDropout:
 # ---------------------------------------------------------------------------
 # losses
 # ---------------------------------------------------------------------------
+
+
+class TestGroupedStack:
+    def test_stack_moves_arrays_into_the_group(self):
+        stacks = [mlp_blocks(f"s{g}", 4, [5], _rng(f"s{g}")) for g in range(3)]
+        w1 = stacks[1].layers[0].params["w"].copy()
+        group = GroupedStack.stack(stacks)
+        np.testing.assert_array_equal(group.layers[0].params["w"][1], w1)
+        assert np.shares_memory(stacks[1].layers[0].params["w"], group.layers[0].params["w"])
+        assert set(group.params()) == {k for s in stacks for k in s.params()}
+        assert group.manifests() == [s.manifest() for s in stacks]
+
+    def test_rejects_empty_mismatched_or_non_dense_first(self):
+        with pytest.raises(ValueError):
+            GroupedStack.stack([])
+        with pytest.raises(ValueError, match="same layers"):
+            GroupedStack.stack([mlp_blocks("a", 4, [5], _rng("a")), mlp_blocks("b", 4, [6], _rng("b"))])
+        with pytest.raises(ValueError, match="same layers"):
+            GroupedStack.stack([mlp_blocks("a", 4, [5], _rng("a")),
+                                mlp_blocks("b", 4, [5], _rng("b"), dropout_rate=0.1)])
+        with pytest.raises(ValueError, match="dense"):
+            GroupedStack.stack([MlpStack([Relu("r"), Dense("d", 2, 2, _rng())])])
+
+    def test_eval_forward_leaves_its_input_alone(self):
+        group = GroupedStack.stack([mlp_blocks(f"s{g}", 4, [5, 3], _rng(f"s{g}")) for g in range(2)])
+        x = np.random.default_rng(0).standard_normal((2, 6, 4)).astype(np.float32)
+        before = x.copy()
+        for mode in ("eval", "train"):
+            group.forward(x, mode, [_rng("a"), _rng("b")])
+            np.testing.assert_array_equal(x, before)
 
 
 class TestLosses:

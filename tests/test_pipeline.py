@@ -1,6 +1,7 @@
 """Preprocessing, window aggregation, dataset construction and serialization."""
 
 import hashlib
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import stationsense as ss
+from stationsense import pipeline
 from stationsense.pipeline import (
     DEFAULT_DROP_64,
     DatasetFormatError,
@@ -406,6 +408,44 @@ class TestDatasetSerialization:
                 assert b.dtype == a.dtype and np.array_equal(a, b)
                 # private, writable arrays, not views into the file buffer
                 assert b.flags.writeable and b.flags.c_contiguous and b.base is None
+
+    def test_chunked_codec_bytes_and_round_trip(self, tmp_path, monkeypatch):
+        # chunks of one, two and more records write the same bytes and read back
+        for chunk in (1, 50, 123, 1 << 22):
+            monkeypatch.setattr(pipeline, "_IO_CHUNK_BYTES", chunk)
+            for d in _golden_datasets():
+                p = tmp_path / f"{d.split}-{chunk}.bin"
+                ss.save_dataset(d, p)
+                assert hashlib.sha256(p.read_bytes()).hexdigest() == _GOLDEN_SHA256[d.split]
+                back = ss.load_dataset(p)
+                assert np.array_equal(back.x, d.x) and np.array_equal(back.missing, d.missing)
+
+    def test_load_holds_one_chunk_not_the_file(self, tmp_path, monkeypatch):
+        gen = np.random.default_rng(0)
+        x = gen.random((3000, 8, 52)).astype(np.float32)
+        d = ss.Dataset("unlabeled", x, gen.random((3000, 8)) < 0.1, None, np.arange(3000.0))
+        p = tmp_path / "big.bin"
+        ss.save_dataset(d, p)
+        monkeypatch.setattr(pipeline, "_IO_CHUNK_BYTES", 1 << 16)
+        tracemalloc.start()
+        try:
+            back = ss.load_dataset(p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        kept = back.x.nbytes + back.missing.nbytes + back.timestamps.nbytes
+        # the file is 5 MB: holding it whole would double the peak
+        assert peak < kept + 4 * (1 << 16) + (256 << 10)
+
+    def test_truncated_file_rejected(self, tmp_path):
+        labeled = _golden_datasets()[0]
+        p = tmp_path / "d.bin"
+        ss.save_dataset(labeled, p)
+        raw = p.read_bytes()
+        for cut in (3, 40, len(raw) - 30, len(raw) - 1):
+            p.write_bytes(raw[:cut])
+            with pytest.raises(DatasetFormatError, match="truncated|size"):
+                ss.load_dataset(p)
 
     def test_round_trip_bitwise(self, small_datasets, tmp_path):
         train = small_datasets[0]

@@ -40,7 +40,6 @@ from .nnkit import (
     finite_diff_check,
 )
 from .crossl import (
-    FACTORY_VICREG,
     FeatureExtractor,
     VicregWeights,
     build_extractor,

@@ -34,10 +34,6 @@ class VicregWeights:
                 raise ValueError("loss weights must be finite and non-negative")
 
 
-# factory-style alternative weights
-FACTORY_VICREG = VicregWeights(lam=69.0, mu=1.2e-2, nu=7.4e-3)
-
-
 def _check_batch(z: np.ndarray) -> np.ndarray:
     z = np.asarray(z)
     if z.ndim != 2 or z.shape[0] < 2:

@@ -198,9 +198,13 @@ class MlpStack:
         self.layers = layers
 
     def forward(self, x, mode="train", rng: Optional[RandomStream] = None):
+        """Dropout layer i draws from `rng.child(f"l{i}")` in train mode; no
+        other layer draws, so no other stream is derived."""
         caches = []
         for i, layer in enumerate(self.layers):
-            lrng = rng.child(f"l{i}") if rng is not None else None
+            lrng = None
+            if mode == "train" and rng is not None and layer.kind == "dropout":
+                lrng = rng.child(f"l{i}")
             x, cache = layer.forward(x, mode, lrng)
             caches.append(cache)
         return x, caches

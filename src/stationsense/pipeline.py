@@ -45,21 +45,22 @@ def normalize_power(a: np.ndarray) -> Tuple[np.ndarray, bool]:
     """Scale so mean squared amplitude is 1. Returns (vector, degenerate).
 
     Near-zero-power input yields the all-zero vector with degenerate=True
-    instead of dividing by ~0.
+    instead of dividing by ~0. `a` itself is never modified.
     """
-    out, n_degenerate = _normalize_rows(np.asarray(a, dtype=float)[None, :])
-    return out[0], n_degenerate == 1
+    out = np.array(a, dtype=float)[None, :]
+    return out[0], _normalize_rows(out) == 1
 
 
-def _normalize_rows(amps: np.ndarray) -> Tuple[np.ndarray, int]:
-    """Scale each row of an (n, K) amplitude matrix to unit mean power; rows
-    below the power floor become zero. Returns (matrix, degenerate row count)."""
+def _normalize_rows(amps: np.ndarray) -> int:
+    """Scale each row of an (n, K) float64 amplitude matrix to unit mean
+    power, in place; rows below the power floor become zero. Returns the
+    degenerate row count."""
     mean_power = np.mean(amps**2, axis=1)
     degenerate = mean_power < DEGENERATE_POWER_FLOOR
     scale = np.where(degenerate, 1.0, np.sqrt(mean_power))
-    out = amps / scale[:, None]
-    out[degenerate] = 0.0
-    return out, int(degenerate.sum())
+    amps /= scale[:, None]
+    amps[degenerate] = 0.0
+    return int(degenerate.sum())
 
 
 @dataclass(frozen=True)
@@ -81,9 +82,10 @@ def preprocess_stream(stream: CsiStream, keep: Sequence[int]) -> PreprocessedStr
         raise IndexError(f"keep indices out of range for k_raw={k_raw}")
     if len(stream) == 0:
         return PreprocessedStream(stream.station, stream.timestamps, np.zeros((0, len(keep))))
-    amps = np.abs(stream.values[:, keep])
-    norm, n_deg = _normalize_rows(amps)
-    return PreprocessedStream(stream.station, stream.timestamps, norm, n_deg)
+    # magnitudes first, then the selection: no complex copy of the kept columns
+    amps = np.abs(stream.values)[:, keep]
+    n_deg = _normalize_rows(amps)
+    return PreprocessedStream(stream.station, stream.timestamps, amps, n_deg)
 
 
 def window_bounds(timestamps: np.ndarray, centers: np.ndarray, width_s: float):
@@ -161,20 +163,39 @@ def _reference_centers(duration_s: float, spec: WindowSpec) -> np.ndarray:
 
 
 def _aggregate_all(
-    pstreams: List[PreprocessedStream], centers: np.ndarray, spec: WindowSpec
+    streams: Sequence, centers: np.ndarray, spec: WindowSpec, keep: Optional[Sequence[int]] = None
 ) -> Tuple[np.ndarray, np.ndarray]:
     """(n, N_d, K) float32 window means and (n, N_d) missing flags for the
-    windows around `centers`, which may come in any order."""
-    n = len(centers)
-    n_d = len(pstreams)
-    k = pstreams[0].amps.shape[1]
+    windows around `centers`, which may come in any order.
+
+    With `keep`, `streams` are raw CsiStreams: each station is preprocessed
+    inside the station loop and dropped before the next one, so the peak is
+    the outputs plus one station's working set, not N_d preprocessed float64
+    streams. Without it, `streams` are PreprocessedStreams."""
+    n, n_d = len(centers), len(streams)
+    k = streams[0].amps.shape[1] if keep is None else len(keep)
     x = np.zeros((n, n_d, k), dtype=np.float32)
     missing = np.zeros((n, n_d), dtype=bool)
-    for d, ps in enumerate(pstreams):
+    for d, s in enumerate(streams):
+        ps = s if keep is None else preprocess_stream(s, keep)
         lo, hi = window_bounds(ps.timestamps, centers, spec.width_s)
         missing[:, d] = hi == lo
         _scan_window_means(ps.amps, lo, hi - lo, x[:, d])
+        del ps  # free this station's amplitudes before the next is preprocessed
     return x, missing
+
+
+def _window_streams(
+    streams: List[CsiStream], end_s: float, spec: WindowSpec, keep: Optional[Sequence[int]]
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Both builders' path: reference centers over [0, end_s], then
+    _aggregate_all over the raw streams. `keep` defaults to the keep list of
+    the streams' raw column count; a stream an outage emptied still has
+    its k_raw columns."""
+    if keep is None:
+        keep = default_keep_list(streams[0].values.shape[-1])
+    centers = _reference_centers(end_s, spec)
+    return (centers,) + _aggregate_all(streams, centers, spec, keep)
 
 
 def _scan_window_means(amps: np.ndarray, lo: np.ndarray, count: np.ndarray, out: np.ndarray) -> None:
@@ -225,11 +246,7 @@ def build_labeled_dataset(
     """Windowed, labeled samples split time-contiguously into train/val/test."""
     if not streams:
         raise ValueError("no streams")
-    if keep is None:
-        keep = default_keep_list(streams[0].values.shape[1] if len(streams[0]) else 64)
-    pstreams = [preprocess_stream(s, keep) for s in streams]
-    centers = _reference_centers(traj.duration_s, spec)
-    x, missing = _aggregate_all(pstreams, centers, spec)
+    centers, x, missing = _window_streams(streams, traj.duration_s, spec, keep)
     labels = np.asarray(traj.label(centers), dtype=np.float32)
     prov = dict(provenance or {})
     prov["split_ratios"] = list(split_ratios)
@@ -264,11 +281,7 @@ def build_unlabeled_dataset(
         raise ValueError(
             f"unlabeled rate {spec.rate_hz} Hz must exceed label rate {label_rate_hz} Hz"
         )
-    if keep is None:
-        keep = default_keep_list(streams[0].values.shape[1] if len(streams[0]) else 64)
-    pstreams = [preprocess_stream(s, keep) for s in streams]
-    centers = _reference_centers(train_end_s, spec)
-    x, missing = _aggregate_all(pstreams, centers, spec)
+    centers, x, missing = _window_streams(streams, train_end_s, spec, keep)
     return Dataset(
         split="unlabeled",
         x=x,

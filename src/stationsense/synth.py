@@ -193,7 +193,8 @@ def channel_response(
 
 
 def _channel_response_batch(positions: np.ndarray, station: int, scenario: Scenario) -> np.ndarray:
-    """Vectorized channel_response over (n, 2) positions -> (n, k_raw)."""
+    """Vectorized channel_response over (n, 2) positions -> (n, k_raw),
+    with no temporary of the output's size."""
     ap = np.asarray(scenario.ap_position)
     st = np.asarray(scenario.station_positions[station])
     d_min = 0.1
@@ -206,7 +207,15 @@ def _channel_response_batch(positions: np.ndarray, station: int, scenario: Scena
     tau_sc = (d1 + d2) / SPEED_OF_LIGHT
     f = scenario.subcarrier_frequencies()
     los = a_los * np.exp(-2j * np.pi * f * tau_los)
-    return los[None, :] + a_sc[:, None] * np.exp(-2j * np.pi * np.outer(tau_sc, f))
+    # built in one buffer, in the order of the expression
+    # los + a_sc * exp(-2j * pi * outer(tau_sc, f)), bit for bit
+    out = np.empty((len(positions), len(f)), dtype=complex)
+    np.outer(tau_sc, f, out=out)
+    out *= -2j * np.pi
+    np.exp(out, out=out)
+    out *= a_sc[:, None]
+    out += los
+    return out
 
 
 def _poisson_arrivals(rate_hz: float, duration_s: float, rng: RandomStream) -> np.ndarray:
@@ -242,7 +251,12 @@ def gen_csi_streams(
 ) -> List[CsiStream]:
     """Per station: Poisson frame arrivals thinned by an exponential on/off
     outage process; frame values are the channel response at the pedestrian's
-    position plus circular complex Gaussian noise."""
+    position plus circular complex Gaussian noise.
+
+    Each station's values are built and noised in place in the array it
+    returns, so peak memory is the returned streams plus one station's
+    float64 noise draw. A station that an outage empties keeps its k_raw
+    columns: its values have shape (0, k_raw)."""
     streams = []
     for d in range(scenario.n_stations):
         g = rng.child(f"station{d}")
@@ -254,7 +268,7 @@ def gen_csi_streams(
         if scenario.noise_std > 0:
             s = scenario.noise_std / math.sqrt(2.0)
             gn = g.child("noise")
-            noise = gn.normal(0, s, values.shape) + 1j * gn.normal(0, s, values.shape)
-            values = values + noise
+            values.real += gn.normal(0, s, values.shape)  # real part drawn first
+            values.imag += gn.normal(0, s, values.shape)
         streams.append(CsiStream(station=d, timestamps=t, values=values))
     return streams

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 import stationsense as ss
 from stationsense.crossl import (
-    FACTORY_VICREG,
     vicreg_covariance,
     vicreg_covariance_grad,
     vicreg_invariance,
@@ -187,7 +186,6 @@ class TestLossGradients:
     def test_weights_validation(self):
         with pytest.raises(ValueError):
             ss.VicregWeights(lam=-1.0)
-        assert FACTORY_VICREG.lam == 69.0
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +237,27 @@ class TestFeatureExtractor:
         z_train, _ = fx.aggregate_batch(xb, "train", ss.RandomStream(0, "nop"))
         z_train2, _ = fx.aggregate_batch(xb, "train", None)
         np.testing.assert_array_equal(z_train, z_train2)  # no dropout randomness
+
+    def test_train_forward_derives_streams_for_dropout_layers_only(self, monkeypatch):
+        # the aggregator's 3 blocks hold 12 layers, 3 of them dropout; only
+        # those draw, so only they get a stream, under the same labels
+        fx = self._fx()
+        xb = np.random.default_rng(2).random((8, 4, 6)).astype(np.float32)
+        flat = xb.reshape(8, -1)
+        want = flat
+        for i, layer in enumerate(fx.aggregator.layers):  # every layer gets a stream
+            want, _ = layer.forward(want, "train", ss.RandomStream(0, "agg").child(f"l{i}"))
+        built = []
+        init = ss.RandomStream.__init__
+
+        def counting_init(stream, seed, label=""):
+            built.append(label)
+            init(stream, seed, label)
+
+        monkeypatch.setattr(ss.RandomStream, "__init__", counting_init)
+        z, _ = fx.aggregate_batch(xb, "train", ss.RandomStream(0, "agg"))
+        assert built == ["agg", "agg/l3", "agg/l7", "agg/l11"]
+        np.testing.assert_array_equal(z, want)
 
     def test_learnable_encoders_optional(self):
         fx = ss.build_extractor(

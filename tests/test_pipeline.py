@@ -82,6 +82,15 @@ class TestNormalizePower:
         b, _ = ss.normalize_power(v * 37.5)
         np.testing.assert_allclose(a, b, rtol=1e-12)
 
+    def test_input_left_unmodified(self):
+        # rows are normalised in place, but only in a copy normalize_power owns
+        gen = np.random.default_rng(1)
+        for v in (gen.random(52) * 3.0, np.zeros(8), gen.random((4, 16))[1]):
+            before = v.copy()
+            out, _ = ss.normalize_power(v)
+            np.testing.assert_array_equal(v, before)
+            assert not np.shares_memory(out, v)
+
 
 # ---------------------------------------------------------------------------
 # window aggregation
@@ -356,6 +365,49 @@ class TestBuildDatasets:
         train, _, _, unlabeled = small_datasets
         assert unlabeled.labels is None
         assert unlabeled.timestamps[-1] <= float(train.timestamps[-1]) + 1.0
+
+    def test_empty_first_station_keeps_its_columns(self):
+        # an outage that empties station 0 leaves it with k_raw columns, so
+        # the default keep list is that of k_raw = 32, not of 64 subcarriers
+        gen = np.random.default_rng(5)
+        ts = np.arange(0.0, 20.0, 0.05)
+        streams = [CsiStream(0, ts[:0], np.zeros((0, 32), dtype=complex))] + [
+            CsiStream(d, ts, gen.normal(size=(len(ts), 32)) + 1j * gen.normal(size=(len(ts), 32)))
+            for d in (1, 2)
+        ]
+        traj = ss.gen_trajectory(ss.Scenario(duration_s=20.0), ss.RandomStream(0, "t"))
+        spec = ss.WindowSpec(2.0, 2.0)
+        splits = ss.build_labeled_dataset(streams, traj, spec)
+        unlabeled = ss.build_unlabeled_dataset(streams, ss.WindowSpec(2.0, 4.0), 2.0, 14.0)
+        explicit = ss.build_labeled_dataset(streams, traj, spec, keep=range(32))
+        for d, want in zip(splits, explicit):
+            assert d.k == 32 and d.missing[:, 0].all() and not d.missing[:, 1:].any()
+            np.testing.assert_array_equal(d.x, want.x)
+        assert unlabeled.k == 32 and unlabeled.missing[:, 0].all()
+
+    @pytest.mark.parametrize("labeled", [True, False])
+    def test_peak_is_outputs_plus_one_station(self, labeled):
+        # stations are preprocessed and windowed one at a time: the peak is
+        # the datasets plus one station's working set (its magnitudes, about
+        # half of its complex values, then the kept float64 amplitudes), not
+        # N_d preprocessed streams
+        scen = ss.Scenario(duration_s=60.0, n_stations=16, station_positions=None)
+        rng = ss.RandomStream(0, "memory")
+        traj = ss.gen_trajectory(scen, rng.child("traj"))
+        streams = ss.gen_csi_streams(scen, traj, rng.child("streams"))
+        tracemalloc.start()
+        try:
+            base, _ = tracemalloc.get_traced_memory()
+            if labeled:
+                splits = ss.build_labeled_dataset(streams, traj, ss.WindowSpec(2.0, 4.0))
+            else:
+                splits = (ss.build_unlabeled_dataset(streams, ss.WindowSpec(2.0, 6.0), 4.0, 40.0),)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        kept = sum(a.nbytes for d in splits for a in (d.x, d.missing, d.labels, d.timestamps) if a is not None)
+        one = max(s.values.nbytes for s in streams)
+        assert peak - base < kept + 1.25 * one
 
     def test_subset_and_sample_views(self, small_datasets):
         train = small_datasets[0]

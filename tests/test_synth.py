@@ -1,5 +1,8 @@
 """Synthetic trajectory, channel model, and frame-stream generation."""
 
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -181,3 +184,56 @@ class TestGenCsiStreams:
                     continue
                 best = max(best, abs(np.corrcoef(col, y)[0, 1]))
         assert best > 0.3
+
+
+# sha256 of every station's timestamps then values, recorded with the
+# out-of-place channel response and noise sum (x86-64, numpy's own libm)
+_GOLDEN_STREAMS = {
+    "noisy": (3, {}, "eebc460dae1edea412d4ab86e66afa8018cab360a0f9d4838e5af02b6bc31763"),
+    "clean": (3, {"noise_std": 0.0}, "d16e34e028f022133a3d0808d490b3af223edbd3f9723de3458bf4a4d3854646"),
+    # station 0 has no frame: the first outage starts before its first arrival
+    "outage": (
+        31,
+        {"k_raw": 32, "outage": ss.OutageSpec(mean_gap_s=1.0, mean_len_s=1000.0)},
+        "73f2b5ff6754616f0edf31d42a32bb9ab4b268525d99a4956d9126bb78c598ed",
+    ),
+}
+
+
+def _golden_streams(name):
+    seed, fields, _ = _GOLDEN_STREAMS[name]
+    scen = ss.Scenario(duration_s=30.0, **fields)
+    rng = ss.RandomStream(seed, "golden")
+    traj = ss.gen_trajectory(scen, rng.child("traj"))
+    return scen, traj, ss.gen_csi_streams(scen, traj, rng.child("streams"))
+
+
+class TestGenCsiStreamsBytes:
+    @pytest.mark.parametrize("name", sorted(_GOLDEN_STREAMS))
+    def test_golden_bytes(self, name):
+        scen, _, streams = _golden_streams(name)
+        h = hashlib.sha256()
+        for s in streams:
+            h.update(s.timestamps.tobytes())
+            h.update(s.values.tobytes())
+        assert h.hexdigest() == _GOLDEN_STREAMS[name][2]
+        if name == "outage":
+            assert len(streams[0]) == 0 and min(len(s) for s in streams[1:]) > 0
+            assert streams[0].values.shape == (0, scen.k_raw)
+
+    def test_peak_is_streams_plus_one_station(self):
+        # the returned streams plus at most one station's values more: the
+        # channel response and the noise are built in the returned array
+        scen = ss.Scenario(duration_s=60.0, n_stations=16, station_positions=None)
+        rng = ss.RandomStream(0, "memory")
+        traj = ss.gen_trajectory(scen, rng.child("traj"))
+        tracemalloc.start()
+        try:
+            base, _ = tracemalloc.get_traced_memory()
+            streams = ss.gen_csi_streams(scen, traj, rng.child("streams"))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        kept = sum(s.values.nbytes + s.timestamps.nbytes for s in streams)
+        one = max(s.values.nbytes for s in streams)
+        assert peak - base < kept + one

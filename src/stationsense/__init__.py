@@ -33,7 +33,6 @@ from .pipeline import (
 from .nnkit import (
     CheckpointError,
     FitResult,
-    GroupedStack,
     MlpStack,
     TrainConfig,
     TrainingDiverged,

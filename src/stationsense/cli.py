@@ -183,19 +183,17 @@ def cmd_pca_export(args):
     fx = load_checkpoint(args.extractor, "feature_extractor") if args.extractor else None
 
     def vectors(d: Dataset, mask_to_k):
-        x = d.x.astype(np.float32)
-        if mask_to_k is not None and mask_to_k < d.n_stations:
-            x = x.copy()
+        x = d.x.astype(np.float32)  # a copy, so masking leaves the dataset alone
+        if mask_to_k is not None:
             x[:, mask_to_k:, :] = 0.0  # fixed combination: first k stations kept
         if fx is None:
             return x.reshape(d.n, -1)
         return fx.embed(x, "eval")
 
+    tr_vec = vectors(train, None)
     rows = []
     for k in args.k:
-        tr_vec = vectors(train, None)
-        te_vec = vectors(test, k)
-        _, te_proj = pca_export(tr_vec, te_vec, dims=2)
+        _, te_proj = pca_export(tr_vec, vectors(test, k), dims=2)
         for i in range(test.n):
             rows.append(
                 {
@@ -224,7 +222,6 @@ def cmd_report(args):
         ]
     summary = summarize(rows)
     write_summary_csv(rows, args.out)
-    widths = (12, 4, 8, 10, 10)
     print(f"{'method':<12} {'k':>4} {'ratio':>8} {'rmse':>10} {'std':>10}")
     for s in summary:
         print(

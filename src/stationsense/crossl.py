@@ -4,8 +4,8 @@ Two views of each sample are produced by independently masking per-station
 embeddings, both views are fused by the shared aggregator, and a
 variance/invariance/covariance loss is minimized so that the global embedding
 becomes invariant to which stations are present. Learnable station encoders
-are one nnkit.GroupedStack over the station axis, so encoding a batch is one
-batched forward (and one backward) for all stations.
+are one grouped nnkit.MlpStack over the station axis, so encoding a batch is
+one batched forward (and one backward) for all stations.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from .core import RandomStream, sample_mask_matrix
-from .nnkit import FitResult, GroupedStack, MlpStack, TrainConfig, fit_loop, mlp_blocks
+from .nnkit import FitResult, MlpStack, TrainConfig, fit_loop, mlp_blocks
 from .pipeline import Dataset
 
 
@@ -120,7 +120,7 @@ def vicreg_loss_grads(z, z2, w: VicregWeights):
 
 class FeatureExtractor:
     """Per-station encoders (identity, or one MLP per station run together
-    as a GroupedStack) plus a shared aggregator over the concatenated station
+    as a grouped MlpStack) plus a shared aggregator over the concatenated station
     embeddings."""
 
     def __init__(
@@ -128,7 +128,7 @@ class FeatureExtractor:
         n_stations: int,
         input_dim: int,
         aggregator: MlpStack,
-        encoders: Optional[GroupedStack] = None,
+        encoders: Optional[MlpStack] = None,
         encoder_dim: Optional[int] = None,
         embedding_dim: Optional[int] = None,
     ):
@@ -160,7 +160,7 @@ class FeatureExtractor:
     def encode_backward(self, caches, dq: np.ndarray) -> Dict[str, np.ndarray]:
         if self.identity_encoders:
             return {}
-        return self.encoders.backward(caches, dq.transpose(1, 0, 2))
+        return self.encoders.backward(caches, dq.transpose(1, 0, 2))[1]
 
     def aggregate_batch(self, qb: np.ndarray, mode: str, rng: Optional[RandomStream]):
         n = qb.shape[0]
@@ -211,12 +211,12 @@ def build_extractor(
     """Identity station encoders by default (inputs are already aggregated
     amplitude vectors); set encoder_widths for learnable per-station MLPs,
     built station by station (station d from `rng.child(f"enc{d}")`) and
-    grouped into one GroupedStack."""
+    grouped into one MlpStack."""
     encoders = None
     enc_dim = input_dim
     if encoder_widths:
         enc_dim = encoder_widths[-1]
-        encoders = GroupedStack.stack([
+        encoders = MlpStack.group([
             mlp_blocks(f"enc{d}", input_dim, list(encoder_widths), rng.child(f"enc{d}"), dropout_rate)
             for d in range(n_stations)
         ])

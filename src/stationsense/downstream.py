@@ -18,7 +18,6 @@ from .nnkit import (
     Dense,
     Dropout,
     FitResult,
-    GroupedStack,
     MlpStack,
     Relu,
     TrainConfig,
@@ -242,14 +241,14 @@ def train_naive(
 class EnsembleModel:
     """One independent head-only model per station; prediction is the member
     mean. Members of missing stations still see the zero placeholder. The
-    member heads run as one GroupedStack that owns their parameters: each
+    member heads run as one grouped MlpStack that owns their parameters: each
     member's head holds views of it, so members stay usable on their own."""
 
     def __init__(self, members: List[SensingModel]):
         if any(m.extractor is not None for m in members):
             raise ValueError("ensemble members must be head-only models")
         self.members = members
-        self.heads = GroupedStack.stack([m.head for m in members])
+        self.heads = MlpStack.group([m.head for m in members])
 
     def predict(self, xb: np.ndarray) -> np.ndarray:
         xb = np.asarray(xb, dtype=np.float32)
@@ -389,7 +388,7 @@ def _extractor_manifest(fx: FeatureExtractor) -> dict:
 def _extractor_from_manifest(m: dict) -> FeatureExtractor:
     encoders = None
     if m["encoders"] is not None:
-        encoders = GroupedStack.stack([MlpStack.from_manifest(e) for e in m["encoders"]])
+        encoders = MlpStack.group([MlpStack.from_manifest(e) for e in m["encoders"]])
     return FeatureExtractor(
         m["n_stations"], m["input_dim"], MlpStack.from_manifest(m["aggregator"]), encoders,
         m["encoder_dim"], m["embedding_dim"],

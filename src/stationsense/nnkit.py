@@ -3,7 +3,7 @@
 Covers exactly what the training recipes need: dense layers, ReLU, batch
 normalization, inverted dropout, MSE-style losses, Adam, a training loop with
 train-loss early stopping, and a central-difference gradient checker.
-`GroupedStack` runs G same-shaped stacks (one per station) as one, with a
+`MlpStack.group` runs G same-shaped stacks (one per station) as one, with a
 single batched op per layer over a leading group axis; it computes bit for
 bit what the G stacks compute one at a time.
 Parameters, Adam moments and forward activations are float32. In train
@@ -56,6 +56,16 @@ class TrainConfig:
 # ---------------------------------------------------------------------------
 # layers
 # ---------------------------------------------------------------------------
+#
+# A layer acts on an (n, w) batch, or on a (G, n, w) block when its
+# parameters and buffers carry a leading group axis (MlpStack.group): then
+# w is (G, w_in, w_out), b is (G, w_out), and group g's slice acts on x[g].
+# Every layer reduces over axis -2 and never writes to its input.
+
+
+def _rows(a: np.ndarray) -> np.ndarray:
+    """A per-feature (..., w) array as a (..., 1, w) row of an (..., n, w) block."""
+    return a[..., None, :]
 
 
 class Dense:
@@ -74,12 +84,14 @@ class Dense:
         self.buffers = {}
 
     def forward(self, x, mode, rng):
-        return x @ self.params["w"] + self.params["b"], x
+        y = x @ self.params["w"]
+        y += _rows(self.params["b"])
+        return y, x
 
     def backward(self, cache, dy):
         x = cache
-        grads = {"w": x.T @ dy, "b": dy.sum(axis=0)}
-        return dy @ self.params["w"].T, grads
+        grads = {"w": np.swapaxes(x, -1, -2) @ dy, "b": dy.sum(axis=-2)}
+        return dy @ np.swapaxes(self.params["w"], -1, -2), grads
 
     def spec(self):
         return {"kind": self.kind, "name": self.name, "n_in": self.n_in, "n_out": self.n_out}
@@ -94,10 +106,11 @@ class Relu:
         self.buffers = {}
 
     def forward(self, x, mode, rng):
-        return np.maximum(x, 0), x > 0  # 0 subgradient at the kink
+        y = np.maximum(x, 0)
+        return y, y
 
     def backward(self, cache, dy):
-        return dy * cache, {}
+        return dy * (cache > 0), {}  # 0 subgradient at the kink
 
     def spec(self):
         return {"kind": self.kind, "name": self.name}
@@ -119,34 +132,39 @@ class BatchNorm:
         }
 
     def forward(self, x, mode, rng):
+        rm, rv = self.buffers["running_mean"], self.buffers["running_var"]
         if mode == "train":
-            mu = x.mean(axis=0)
-            var = x.var(axis=0)  # biased (1/n) batch estimator
-            self.buffers["running_mean"][...] = (
-                BN_MOMENTUM * self.buffers["running_mean"] + (1 - BN_MOMENTUM) * mu
-            )
-            self.buffers["running_var"][...] = (
-                BN_MOMENTUM * self.buffers["running_var"] + (1 - BN_MOMENTUM) * var
-            )
+            mu = x.mean(axis=-2)
+            var = x.var(axis=-2)  # biased (1/n) batch estimator
+            rm[...] = BN_MOMENTUM * rm + (1 - BN_MOMENTUM) * mu
+            rv[...] = BN_MOMENTUM * rv + (1 - BN_MOMENTUM) * var
         else:
-            mu = self.buffers["running_mean"]
-            var = self.buffers["running_var"]
-        std = np.sqrt(var + BN_EPS)
-        xhat = (x - mu) / std
-        y = self.params["gamma"] * xhat + self.params["beta"]
-        return y, (mode, xhat, std)
+            mu, var = rm.copy(), rv  # the cache keeps this mean, not later updates
+        mu, std = _rows(mu), _rows(np.sqrt(var + BN_EPS))
+        y = self._normalize(x, mu, std)
+        y *= _rows(self.params["gamma"])
+        y += _rows(self.params["beta"])
+        return y, (mode, x, mu, std)
+
+    @staticmethod
+    def _normalize(x, mu, std):
+        xhat = x - mu
+        xhat /= std
+        return xhat
 
     def backward(self, cache, dy):
-        mode, xhat, std = cache
-        gamma = self.params["gamma"]
-        grads = {"gamma": (dy * xhat).sum(axis=0), "beta": dy.sum(axis=0)}
+        # xhat is recomputed from the cached input with the forward's own ops,
+        # so it is bit for bit the forward's xhat
+        mode, x, mu, std = cache
+        xhat = self._normalize(x, mu, std)
+        grads = {"gamma": (dy * xhat).sum(axis=-2), "beta": dy.sum(axis=-2)}
+        dx = dy * _rows(self.params["gamma"])
         if mode == "train":
-            dxhat = dy * gamma
-            dx = (
-                dxhat - dxhat.mean(axis=0) - xhat * (dxhat * xhat).mean(axis=0)
-            ) / std
-        else:
-            dx = dy * gamma / std
+            m1 = dx.mean(axis=-2, keepdims=True)
+            m2 = (dx * xhat).mean(axis=-2, keepdims=True)
+            dx -= m1
+            dx -= xhat * m2
+        dx /= std
         return dx, grads
 
     def spec(self):
@@ -154,6 +172,10 @@ class BatchNorm:
 
 
 class Dropout:
+    """Inverted dropout. In a grouped stack `rng` is one stream per group and
+    group g draws its mask from `rng[g]`, as its own stack would. The kept
+    mask is float64 (a bool mask times a Python float)."""
+
     kind = "dropout"
 
     def __init__(self, name, rate):
@@ -169,9 +191,14 @@ class Dropout:
             return x, None
         if rng is None:
             raise ValueError("dropout in train mode requires an RNG stream")
-        keep = rng.random(x.shape) >= self.rate
+        if isinstance(rng, RandomStream):
+            keep = rng.random(x.shape) >= self.rate
+        else:
+            keep = np.stack([r.random(x.shape[1:]) for r in rng]) >= self.rate
         scale = 1.0 / (1.0 - self.rate)  # inverted scaling
-        return x * keep * scale, keep * scale
+        y = x * keep
+        y *= scale
+        return y, keep * scale
 
     def backward(self, cache, dy):
         if cache is None:
@@ -192,57 +219,107 @@ _LAYER_KINDS = {
 
 
 class MlpStack:
-    """A sequence of layers with joint forward/backward over named params."""
+    """A sequence of layers with joint forward/backward over named params.
 
-    def __init__(self, layers: List):
+    A grouped stack (`MlpStack.group`) runs G same-shaped member stacks as
+    one, e.g. one encoder per station: every layer holds one (G, ...) array
+    per parameter and buffer and acts on a whole (G, n, w) block, and group
+    g computes bit for bit what member g computes on its own. The members
+    hold views of the group arrays, so params(), buffers() and the gradients
+    of backward() keep the members' names, and an optimizer or a checkpoint
+    reads and writes the one copy."""
+
+    def __init__(self, layers: List, members: Optional[List["MlpStack"]] = None):
         self.layers = layers
+        self.members = members  # the stacks a grouped stack runs, else None
 
-    def forward(self, x, mode="train", rng: Optional[RandomStream] = None):
+    @staticmethod
+    def group(stacks: List["MlpStack"]) -> "MlpStack":
+        """Group same-shaped stacks that start with a dense layer. Their
+        arrays move into the group: each stack's layers afterwards hold
+        views of the group arrays, so the stacks stay usable and share the
+        group's storage."""
+        if not stacks:
+            raise ValueError("no stacks to group")
+        specs = [[{k: v for k, v in spec.items() if k != "name"} for spec in s.manifest()]
+                 for s in stacks]
+        if any(s != specs[0] for s in specs):
+            raise ValueError("grouped stacks must have the same layers and shapes")
+        if specs[0][0]["kind"] != "dense":
+            raise ValueError("a grouped stack must start with a dense layer")
+        layers = []
+        for peers in zip(*(s.layers for s in stacks)):
+            layer = copy.copy(peers[0])
+            layer.params = {k: np.stack([p.params[k] for p in peers]) for k in layer.params}
+            layer.buffers = {k: np.stack([p.buffers[k] for p in peers]) for k in layer.buffers}
+            for g, peer in enumerate(peers):
+                peer.params = {k: v[g] for k, v in layer.params.items()}
+                peer.buffers = {k: v[g] for k, v in layer.buffers.items()}
+            layers.append(layer)
+        return MlpStack(layers, list(stacks))
+
+    def forward(self, x, mode="train", rng=None):
         """Dropout layer i draws from `rng.child(f"l{i}")` in train mode; no
-        other layer draws, so no other stream is derived."""
+        other layer draws, so no other stream is derived. A grouped stack
+        takes a (G, n, w) block and one stream per group in `rng`. Eval mode
+        keeps the caches too, so a backward can follow it (gradient checks
+        run on frozen batch-norm statistics)."""
         caches = []
         for i, layer in enumerate(self.layers):
             lrng = None
             if mode == "train" and rng is not None and layer.kind == "dropout":
-                lrng = rng.child(f"l{i}")
+                lrng = rng.child(f"l{i}") if self.members is None else [r.child(f"l{i}") for r in rng]
             x, cache = layer.forward(x, mode, lrng)
             caches.append(cache)
         return x, caches
 
     def backward(self, caches, dy):
+        """Input gradient and named parameter gradients from a forward's caches."""
+        if caches is None:
+            raise ValueError("backward needs the caches of a forward pass")
+        # numpy's reduction order over n follows the memory layout: a C-ordered
+        # block sums each group as its own (n, w) stack would (a transposed
+        # view does not when w == 1)
+        dy = np.ascontiguousarray(dy)
         grads: Dict[str, np.ndarray] = {}
-        for layer, cache in zip(reversed(self.layers), reversed(caches)):
-            dy, layer_grads = layer.backward(cache, dy)
+        for i in range(len(self.layers) - 1, -1, -1):
+            layer = self.layers[i]
+            dy, layer_grads = layer.backward(caches[i], dy)
             for pname, g in layer_grads.items():
-                grads[f"{layer.name}.{pname}"] = g
+                if self.members is None:
+                    grads[f"{layer.name}.{pname}"] = g
+                else:
+                    grads.update((f"{m.layers[i].name}.{pname}", gg) for m, gg in zip(self.members, g))
         return dy, grads
 
+    def _named(self, attr) -> Dict[str, np.ndarray]:
+        if self.members is not None:
+            return {k: v for m in self.members for k, v in m._named(attr).items()}
+        return {f"{layer.name}.{k}": v for layer in self.layers for k, v in getattr(layer, attr).items()}
+
     def params(self) -> Dict[str, np.ndarray]:
-        out = {}
-        for layer in self.layers:
-            for pname, p in layer.params.items():
-                out[f"{layer.name}.{pname}"] = p
-        return out
+        return self._named("params")
 
     def buffers(self) -> Dict[str, np.ndarray]:
-        out = {}
-        for layer in self.layers:
-            for bname, b in layer.buffers.items():
-                out[f"{layer.name}.{bname}"] = b
-        return out
+        return self._named("buffers")
 
     def cast(self, dtype) -> "MlpStack":
         """Deep copy with parameters/buffers cast to dtype (for grad checks)."""
+        if self.members is not None:
+            return MlpStack.group([m.cast(dtype) for m in self.members])
         clone = copy.deepcopy(self)
         for layer in clone.layers:
-            for k in layer.params:
-                layer.params[k] = layer.params[k].astype(dtype)
-            for k in layer.buffers:
-                layer.buffers[k] = layer.buffers[k].astype(dtype)
+            for arrays in (layer.params, layer.buffers):
+                for k in arrays:
+                    arrays[k] = arrays[k].astype(dtype)
         return clone
 
     def manifest(self) -> list:
         return [layer.spec() for layer in self.layers]
+
+    def manifests(self) -> list:
+        """One manifest per member of a grouped stack."""
+        return [m.manifest() for m in self.members]
 
     @staticmethod
     def from_manifest(manifest: list) -> "MlpStack":
@@ -284,213 +361,6 @@ def mlp_head(prefix: str, n_in: int, hidden: int, n_out: int, rng: RandomStream,
             Dense(f"{prefix}.h1", hidden, n_out, rng.child(f"{prefix}.h1"), dtype),
         ]
     )
-
-
-# ---------------------------------------------------------------------------
-# grouped stack: G same-shaped stacks as one
-# ---------------------------------------------------------------------------
-
-
-class _GroupedLayer:
-    """One layer of G same-shaped stacks: each parameter and buffer is one
-    (G, ...) array. It acts on a (G, n, w) block and may overwrite its
-    input, which is always the previous layer's fresh output (a GroupedStack
-    starts with a dense layer, which never writes to its input)."""
-
-    def __init__(self, peers: List):
-        self.kind = peers[0].kind
-        self.specs = [p.spec() for p in peers]  # per-group specs, names included
-        self.names = [s["name"] for s in self.specs]
-        self.params = {k: np.stack([p.params[k] for p in peers]) for k in peers[0].params}
-        self.buffers = {k: np.stack([p.buffers[k] for p in peers]) for k in peers[0].buffers}
-
-
-class _GroupedDense(_GroupedLayer):
-    def forward(self, x, train, rngs):
-        y = x @ self.params["w"]
-        y += self.params["b"][:, None]
-        return y, x
-
-    def backward(self, x, dy, need_dx):
-        grads = {"w": x.transpose(0, 2, 1) @ dy, "b": dy.sum(axis=1)}
-        return (dy @ self.params["w"].transpose(0, 2, 1) if need_dx else None), grads
-
-
-class _GroupedRelu(_GroupedLayer):
-    def forward(self, x, train, rngs):
-        mask = x > 0 if train else None  # 0 subgradient at the kink
-        return np.maximum(x, 0, out=x), mask
-
-    def backward(self, mask, dy, need_dx):
-        return dy * mask, {}
-
-
-class _GroupedBatchNorm(_GroupedLayer):
-    """Per-group statistics over the n axis; running buffers are (G, w)."""
-
-    def forward(self, x, train, rngs):
-        rm, rv = self.buffers["running_mean"], self.buffers["running_var"]
-        if train:
-            mu = x.mean(axis=1)
-            var = x.var(axis=1)  # biased (1/n) batch estimator
-            rm[...] = BN_MOMENTUM * rm + (1 - BN_MOMENTUM) * mu
-            rv[...] = BN_MOMENTUM * rv + (1 - BN_MOMENTUM) * var
-        else:
-            mu, var = rm, rv
-        std = np.sqrt(var + BN_EPS)[:, None]
-        xhat = x
-        xhat -= mu[:, None]
-        xhat /= std
-        gamma, beta = self.params["gamma"][:, None], self.params["beta"][:, None]
-        if not train:
-            xhat *= gamma
-            xhat += beta
-            return xhat, None
-        y = xhat * gamma
-        y += beta
-        return y, (xhat, std)
-
-    def backward(self, cache, dy, need_dx):
-        xhat, std = cache
-        grads = {"gamma": (dy * xhat).sum(axis=1), "beta": dy.sum(axis=1)}
-        dx = dy * self.params["gamma"][:, None]
-        m1 = dx.mean(axis=1, keepdims=True)
-        m2 = (dx * xhat).mean(axis=1, keepdims=True)
-        dx -= m1
-        dx -= xhat * m2
-        dx /= std
-        return dx, grads
-
-
-class _GroupedDropout(_GroupedLayer):
-    """Group g draws its mask from its own stream `rngs[g]`, exactly as its
-    own stack would; the kept mask is float64, as in Dropout."""
-
-    def forward(self, x, train, rngs):
-        rate = self.specs[0]["rate"]
-        if not train or rate == 0.0:
-            return x, None
-        if rngs is None:
-            raise ValueError("dropout in train mode requires an RNG stream")
-        keep = np.stack([r.random(x.shape[1:]) for r in rngs]) >= rate
-        scale = 1.0 / (1.0 - rate)  # inverted scaling
-        x *= keep
-        x *= scale
-        return x, keep * scale
-
-    def backward(self, mask, dy, need_dx):
-        if mask is None:
-            return dy, {}
-        return dy * mask, {}
-
-
-_GROUPED_KINDS = {
-    "dense": _GroupedDense,
-    "relu": _GroupedRelu,
-    "batchnorm": _GroupedBatchNorm,
-    "dropout": _GroupedDropout,
-}
-
-
-class GroupedStack:
-    """G same-shaped MlpStacks run as one, e.g. one encoder per station.
-
-    Every layer holds one (G, ...) array per parameter and acts on a whole
-    (G, n, w) block: dense layers are one np.matmul over the leading group
-    axis, batch norm keeps per-group statistics, dropout draws group g's
-    mask from `rngs[g]`. Group g computes bit for bit what its own MlpStack
-    computes. Eval mode is inference only: it keeps no caches and works in
-    place on each layer's fresh output.
-
-    Parameters keep their per-group names: params(), buffers() and the
-    gradients of backward() are keyed `<group layer name>.<param>` and are
-    views of the group arrays, so an optimizer or a checkpoint reads and
-    writes the one copy."""
-
-    def __init__(self, layers: List[_GroupedLayer]):
-        if not layers or layers[0].kind != "dense":
-            raise ValueError("a grouped stack must start with a dense layer")
-        self.layers = layers
-
-    @staticmethod
-    def stack(stacks: List[MlpStack]) -> "GroupedStack":
-        """Group same-shaped stacks. Their arrays move into the group: each
-        stack's layers afterwards hold views of the group arrays, so the
-        stacks stay usable and share the group's storage."""
-        if not stacks:
-            raise ValueError("no stacks to group")
-        specs = [[{k: v for k, v in layer.spec().items() if k != "name"} for layer in s.layers]
-                 for s in stacks]
-        if any(s != specs[0] for s in specs):
-            raise ValueError("grouped stacks must have the same layers and shapes")
-        layers = []
-        for peers in zip(*(s.layers for s in stacks)):
-            layer = _GROUPED_KINDS[peers[0].kind](list(peers))
-            for g, peer in enumerate(peers):
-                peer.params = {k: v[g] for k, v in layer.params.items()}
-                peer.buffers = {k: v[g] for k, v in layer.buffers.items()}
-            layers.append(layer)
-        return GroupedStack(layers)
-
-    def forward(self, x, mode="train", rngs: Optional[List[RandomStream]] = None):
-        """(G, n, w_in) block -> (G, n, w_out) block plus caches (None in
-        eval mode). `rngs` holds one stream per group; layer i of group g
-        draws from `rngs[g].child(f"l{i}")`, as MlpStack.forward does."""
-        train = mode == "train"
-        caches = [] if train else None
-        for i, layer in enumerate(self.layers):
-            lrngs = None
-            if train and rngs is not None and layer.kind == "dropout":
-                lrngs = [r.child(f"l{i}") for r in rngs]
-            x, cache = layer.forward(x, train, lrngs)
-            if train:
-                caches.append(cache)
-        return x, caches
-
-    def backward(self, caches, dy) -> Dict[str, np.ndarray]:
-        """Per-group parameter gradients from train-mode caches and the
-        (G, n, w_out) output gradient. No caller needs the gradient with
-        respect to the stack's input, so it is not computed."""
-        if caches is None:
-            raise ValueError("backward needs the caches of a train-mode forward")
-        # numpy's reduction order over n follows the memory layout: a C-ordered
-        # block sums each group as its own (n, w) stack would (a transposed
-        # view does not when w == 1)
-        dy = np.ascontiguousarray(dy)
-        grads: Dict[str, np.ndarray] = {}
-        for i in range(len(self.layers) - 1, -1, -1):
-            layer = self.layers[i]
-            dy, layer_grads = layer.backward(caches[i], dy, i > 0)
-            for pname, g in layer_grads.items():
-                grads.update((f"{name}.{pname}", gg) for name, gg in zip(layer.names, g))
-        return grads
-
-    def _named(self, attr) -> Dict[str, np.ndarray]:
-        return {
-            f"{layer.names[g]}.{k}": v[g]
-            for g in range(len(self.layers[0].names))
-            for layer in self.layers
-            for k, v in getattr(layer, attr).items()
-        }
-
-    def params(self) -> Dict[str, np.ndarray]:
-        return self._named("params")
-
-    def buffers(self) -> Dict[str, np.ndarray]:
-        return self._named("buffers")
-
-    def cast(self, dtype) -> "GroupedStack":
-        """Deep copy with parameters/buffers cast to dtype."""
-        clone = copy.deepcopy(self)
-        for layer in clone.layers:
-            for arrays in (layer.params, layer.buffers):
-                for k in arrays:
-                    arrays[k] = arrays[k].astype(dtype)
-        return clone
-
-    def manifests(self) -> list:
-        """One MlpStack manifest per group."""
-        return [list(specs) for specs in zip(*(layer.specs for layer in self.layers))]
 
 
 # ---------------------------------------------------------------------------
@@ -605,25 +475,6 @@ def fit_loop(
         for k, b in buffers.items():
             b[...] = best_buffers[k]
     return FitResult(history=history, best_epoch=best_epoch, best_loss=best_loss)
-
-
-def fit(
-    stack: MlpStack,
-    x: np.ndarray,
-    y: np.ndarray,
-    loss_fn,
-    config: TrainConfig,
-    rng: RandomStream,
-) -> FitResult:
-    """Supervised convenience wrapper over fit_loop for a single stack."""
-
-    def step(idx, srng):
-        pred, caches = stack.forward(x[idx], "train", srng.child("fwd"))
-        loss, dpred = loss_fn(pred, y[idx])
-        _, grads = stack.backward(caches, dpred)
-        return loss, grads
-
-    return fit_loop(stack.params(), step, len(x), config, rng.child("fit"), stack.buffers())
 
 
 def finite_diff_check(

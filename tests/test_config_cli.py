@@ -255,6 +255,10 @@ class TestCli:
         assert rc == 0
         with open(out) as f:
             rows = list(csv.DictReader(f))
-        test_n = ss.load_dataset(data_dir / "test.bin").n
-        assert len(rows) == 2 * test_n
+        train, test = ss.load_dataset(data_dir / "train.bin"), ss.load_dataset(data_dir / "test.bin")
+        assert len(rows) == 2 * test.n
         assert {r["availability"] for r in rows} == {"8", "4"}
+        # k = 8 keeps every station, so its rows project the raw test vectors
+        _, want = ss.pca_export(train.x.reshape(train.n, -1), test.x.reshape(test.n, -1), dims=2)
+        got = [[float(r["pc1"]), float(r["pc2"])] for r in rows if r["availability"] == "8"]
+        np.testing.assert_array_equal(got, want)

@@ -290,7 +290,7 @@ def _bits(a):
 
 
 class TestGroupedEncoders:
-    """The station encoders run as one GroupedStack; each station must
+    """The station encoders run as one grouped MlpStack; each station must
     compute bit for bit what its own MlpStack computes in the per-station
     loop (tests/oracles.py)."""
 
@@ -344,12 +344,13 @@ class TestGroupedEncoders:
         fx.params()["enc1.b0.dense.w"][...] = 0.0
         assert not w[1].any() and w[0].any()
 
-    def test_eval_keeps_no_caches_and_backward_needs_them(self):
+    def test_eval_keeps_caches_and_backward_needs_them(self):
         fx = ss.build_extractor(2, 4, ss.RandomStream(0, "fx"), encoder_widths=(5,))
         q, caches = fx.encode_batch(np.ones((3, 2, 4), np.float32), "eval", None)
-        assert caches is None
+        assert len(caches) == len(fx.encoders.layers)
+        assert fx.encode_backward(caches, np.ones(q.shape)).keys() == fx.encoders.params().keys()
         with pytest.raises(ValueError):
-            fx.encode_backward(caches, np.ones(q.shape))
+            fx.encode_backward(None, np.ones(q.shape))
 
     def test_train_dropout_needs_a_stream(self):
         fx = ss.build_extractor(2, 4, ss.RandomStream(0, "fx"), encoder_widths=(5,))

@@ -12,13 +12,11 @@ from stationsense.nnkit import (
     BatchNorm,
     Dense,
     Dropout,
-    GroupedStack,
     MlpStack,
     Relu,
     TrainConfig,
     TrainingDiverged,
     adam_step,
-    fit,
     fit_loop,
     masked_mse_loss,
     mlp_blocks,
@@ -154,6 +152,18 @@ class TestDropout:
         assert all(p.dtype == np.float32 for p in stack.params().values())
 
 
+class TestLayerCaches:
+    def test_batchnorm_eval_cache_ignores_later_buffer_updates(self):
+        layer = BatchNorm("bn", 2, dtype=np.float64)
+        x = np.random.default_rng(0).random((8, 2))
+        _, cache = layer.forward(x, "eval", None)
+        want = layer.backward(cache, x)
+        layer.forward(x * 3, "train", None)  # moves the running statistics
+        got = layer.backward(cache, x)
+        np.testing.assert_array_equal(got[0], want[0])
+        np.testing.assert_array_equal(got[1]["gamma"], want[1]["gamma"])
+
+
 # ---------------------------------------------------------------------------
 # losses
 # ---------------------------------------------------------------------------
@@ -163,7 +173,7 @@ class TestGroupedStack:
     def test_stack_moves_arrays_into_the_group(self):
         stacks = [mlp_blocks(f"s{g}", 4, [5], _rng(f"s{g}")) for g in range(3)]
         w1 = stacks[1].layers[0].params["w"].copy()
-        group = GroupedStack.stack(stacks)
+        group = MlpStack.group(stacks)
         np.testing.assert_array_equal(group.layers[0].params["w"][1], w1)
         assert np.shares_memory(stacks[1].layers[0].params["w"], group.layers[0].params["w"])
         assert set(group.params()) == {k for s in stacks for k in s.params()}
@@ -171,17 +181,17 @@ class TestGroupedStack:
 
     def test_rejects_empty_mismatched_or_non_dense_first(self):
         with pytest.raises(ValueError):
-            GroupedStack.stack([])
+            MlpStack.group([])
         with pytest.raises(ValueError, match="same layers"):
-            GroupedStack.stack([mlp_blocks("a", 4, [5], _rng("a")), mlp_blocks("b", 4, [6], _rng("b"))])
+            MlpStack.group([mlp_blocks("a", 4, [5], _rng("a")), mlp_blocks("b", 4, [6], _rng("b"))])
         with pytest.raises(ValueError, match="same layers"):
-            GroupedStack.stack([mlp_blocks("a", 4, [5], _rng("a")),
-                                mlp_blocks("b", 4, [5], _rng("b"), dropout_rate=0.1)])
+            MlpStack.group([mlp_blocks("a", 4, [5], _rng("a")),
+                            mlp_blocks("b", 4, [5], _rng("b"), dropout_rate=0.1)])
         with pytest.raises(ValueError, match="dense"):
-            GroupedStack.stack([MlpStack([Relu("r"), Dense("d", 2, 2, _rng())])])
+            MlpStack.group([MlpStack([Relu("r"), Dense("d", 2, 2, _rng())])])
 
     def test_eval_forward_leaves_its_input_alone(self):
-        group = GroupedStack.stack([mlp_blocks(f"s{g}", 4, [5, 3], _rng(f"s{g}")) for g in range(2)])
+        group = MlpStack.group([mlp_blocks(f"s{g}", 4, [5, 3], _rng(f"s{g}")) for g in range(2)])
         x = np.random.default_rng(0).standard_normal((2, 6, 4)).astype(np.float32)
         before = x.copy()
         for mode in ("eval", "train"):
@@ -258,13 +268,25 @@ class TestAdam:
 # ---------------------------------------------------------------------------
 
 
+def _fit(stack, x, y, config, rng):
+    """Supervised MSE training of one stack through fit_loop."""
+
+    def step(idx, srng):
+        pred, caches = stack.forward(x[idx], "train", srng.child("fwd"))
+        loss, dpred = mse_loss(pred, y[idx])
+        _, grads = stack.backward(caches, dpred)
+        return loss, grads
+
+    return fit_loop(stack.params(), step, len(x), config, rng.child("fit"), stack.buffers())
+
+
 class TestFitLoop:
     def test_noiseless_linear_regression_recovers_slope(self):
         gen = np.random.default_rng(0)
         x = gen.uniform(-1, 1, (256, 1)).astype(np.float32)
         y = 2.0 * x
         stack = MlpStack([Dense("lin", 1, 1, _rng("init"))])
-        fit(stack, x, y, mse_loss, TrainConfig(0.05, 64, 500, 50), _rng("fit"))
+        _fit(stack, x, y, TrainConfig(0.05, 64, 500, 50), _rng("fit"))
         assert abs(float(stack.params()["lin.w"][0, 0]) - 2.0) < 1e-3
 
     def test_early_stopping_restores_best_params(self):
@@ -312,7 +334,7 @@ class TestFitLoop:
             stack = mlp_blocks("m", 4, [8], _rng("init"))
             head = Dense("out", 8, 1, _rng("out"))
             full = MlpStack(stack.layers + [head])
-            fit(full, x, y, mse_loss, TrainConfig(1e-3, 16, 20, 5), _rng("fit"))
+            _fit(full, x, y, TrainConfig(1e-3, 16, 20, 5), _rng("fit"))
             return {k: v.copy() for k, v in full.params().items()}
 
         a, b = run(), run()

@@ -43,7 +43,6 @@ from .crossl import (
     VicregWeights,
     build_extractor,
     pretrain,
-    vicreg_loss,
     vicreg_loss_grads,
 )
 from .downstream import (
@@ -54,7 +53,6 @@ from .downstream import (
     InpaintingModel,
     SensingModel,
     build_head,
-    constant_baseline,
     load_checkpoint,
     save_checkpoint,
     train_dae,

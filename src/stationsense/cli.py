@@ -111,7 +111,7 @@ def cmd_pretrain(args):
     cfg = load_config(args.config)
     tr = cfg.training
     unlabeled = load_dataset(args.dataset)
-    fx, result = _pretrain(unlabeled, tr, args.seed, tr.p_mask_crossl)
+    fx, result = _pretrain(unlabeled, tr, args.seed)
     w = tr.vicreg
     save_checkpoint(
         fx, args.out,

@@ -75,7 +75,7 @@ def config_from_dict(doc: dict) -> RunConfig:
     training = TrainSettings(**tr_doc)
 
     sw_doc = dict(doc.get("sweep", {}))
-    for key in ("available_station_counts", "label_ratios", "p_mask_grid", "seeds"):
+    for key in ("available_station_counts", "label_ratios", "seeds"):
         if key in sw_doc:
             sw_doc[key] = tuple(sw_doc[key])
     sweep = SweepSpec(**sw_doc)

@@ -3,7 +3,9 @@
 Two views of each sample are produced by independently masking per-station
 embeddings, both views are fused by the shared aggregator, and a
 variance/invariance/covariance loss is minimized so that the global embedding
-becomes invariant to which stations are present. Learnable station encoders
+becomes invariant to which stations are present. Each loss term has one
+implementation, the `_grad` function that pre-training calls: it returns the
+term's value together with its gradient. Learnable station encoders
 are one grouped nnkit.MlpStack over the station axis, so encoding a batch is
 one batched forward (and one backward) for all stations.
 """
@@ -41,15 +43,10 @@ def _check_batch(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def vicreg_variance(z, gamma: float = 1.0, epsilon: float = 1e-4) -> float:
-    """Hinge on the regularized per-dimension std: (1/l) sum_j max(0, gamma -
-    sqrt(Var(z_:,j) + eps)). Var is the unbiased (1/(n-1)) estimator."""
-    z = _check_batch(z)
-    s = np.sqrt(z.var(axis=0, ddof=1) + epsilon)
-    return float(np.maximum(0.0, gamma - s).mean())
-
-
 def vicreg_variance_grad(z, gamma: float = 1.0, epsilon: float = 1e-4):
+    """Hinge on the regularized per-dimension std: (1/l) sum_j max(0, gamma -
+    sqrt(Var(z_:,j) + eps)). Var is the unbiased (1/(n-1)) estimator.
+    Returns (value, d value / dz)."""
     z = _check_batch(z)
     n, l = z.shape
     zc = z - z.mean(axis=0)
@@ -60,33 +57,20 @@ def vicreg_variance_grad(z, gamma: float = 1.0, epsilon: float = 1e-4):
     return val, dz
 
 
-def vicreg_invariance(z, z2) -> float:
-    """(1/n) sum_i ||z_i - z'_i||^2."""
+def vicreg_invariance_grad(z, z2):
+    """(1/n) sum_i ||z_i - z'_i||^2. Returns (value, d/dz, d/dz')."""
     z = np.asarray(z)
     z2 = np.asarray(z2)
     if z.shape != z2.shape:
         raise ValueError("embedding batches must have equal shapes")
-    return float(((z - z2) ** 2).sum() / z.shape[0])
-
-
-def vicreg_invariance_grad(z, z2):
-    val = vicreg_invariance(z, z2)
+    val = float(((z - z2) ** 2).sum() / z.shape[0])
     d = 2.0 * (z - z2) / z.shape[0]
     return val, d, -d
 
 
-def vicreg_covariance(z) -> float:
-    """(1/l) sum of squared off-diagonal entries of the (1/(n-1)) sample
-    covariance matrix."""
-    z = _check_batch(z)
-    n, l = z.shape
-    zc = z - z.mean(axis=0)
-    c = zc.T @ zc / (n - 1)
-    off = c - np.diag(np.diag(c))
-    return float((off**2).sum() / l)
-
-
 def vicreg_covariance_grad(z):
+    """(1/l) sum of squared off-diagonal entries of the (1/(n-1)) sample
+    covariance matrix. Returns (value, d value / dz)."""
     z = _check_batch(z)
     n, l = z.shape
     zc = z - z.mean(axis=0)
@@ -98,15 +82,9 @@ def vicreg_covariance_grad(z):
     return val, dz
 
 
-def vicreg_loss(z, z2, w: VicregWeights) -> float:
-    return (
-        w.lam * (vicreg_variance(z, w.gamma, w.epsilon) + vicreg_variance(z2, w.gamma, w.epsilon))
-        + w.mu * vicreg_invariance(z, z2)
-        + w.nu * (vicreg_covariance(z) + vicreg_covariance(z2))
-    )
-
-
 def vicreg_loss_grads(z, z2, w: VicregWeights):
+    """The view-agreement loss lam * (v(z) + v(z')) + mu * s(z, z') +
+    nu * (c(z) + c(z')) and its gradients: (loss, d/dz, d/dz')."""
     v1, dv1 = vicreg_variance_grad(z, w.gamma, w.epsilon)
     v2, dv2 = vicreg_variance_grad(z2, w.gamma, w.epsilon)
     s, ds1, ds2 = vicreg_invariance_grad(z, z2)

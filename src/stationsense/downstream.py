@@ -207,10 +207,6 @@ class ConstantModel:
         return np.full(np.asarray(xb).shape[0], self.value)
 
 
-def constant_baseline(value: float = 0.5) -> ConstantModel:
-    return ConstantModel(value)
-
-
 def train_naive(
     labeled: Dataset,
     tc: TrainConfig,

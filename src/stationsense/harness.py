@@ -24,10 +24,10 @@ from .crossl import (
 )
 from .downstream import (
     AugmentConfig,
+    ConstantModel,
     InpaintingModel,
     SensingModel,
     build_head,
-    constant_baseline,
     train_dae,
     train_downstream,
     train_ensemble,
@@ -51,7 +51,6 @@ def rmse(predictions, labels) -> float:
 class SweepSpec:
     available_station_counts: Tuple[int, ...] = (1, 4, 8)
     label_ratios: Tuple[float, ...] = (0.001, 0.1, 1.0)
-    p_mask_grid: Tuple[float, ...] = (0.1, 0.5, 0.9)
     seeds: Tuple[int, ...] = (0, 1, 2)
     combination_policy: str = "exhaustive"  # exhaustive | monte_carlo
     n_draws: int = 500
@@ -61,6 +60,8 @@ class SweepSpec:
             raise ValueError("label ratios must be in (0, 1]")
         if self.combination_policy not in ("exhaustive", "monte_carlo"):
             raise ValueError(f"unknown combination policy {self.combination_policy}")
+        if self.n_draws < 1:
+            raise ValueError(f"n_draws must be at least 1, got {self.n_draws}")
 
 
 @dataclass
@@ -100,11 +101,7 @@ class TrainSettings:
     naive_variant: str = "office"
 
 
-def desk_settings(
-    pretrain_epochs: int = 200,
-    downstream_epochs: int = 400,
-    mode: str = "frozen",
-) -> TrainSettings:
+def desk_settings() -> TrainSettings:
     """Fast desk-scale preset for the synthetic scenario.
 
     Online augmentation redraws masks every epoch, so downstream training sees
@@ -114,12 +111,11 @@ def desk_settings(
     as the label budget shrinks."""
     return TrainSettings(
         pretrain=TrainConfig(
-            learning_rate=1e-3, batch_size=256, max_epochs=pretrain_epochs, patience=20
+            learning_rate=1e-3, batch_size=256, max_epochs=200, patience=20
         ),
         downstream=TrainConfig(
-            learning_rate=1e-3, batch_size=256, max_epochs=downstream_epochs, patience=30
+            learning_rate=1e-3, batch_size=256, max_epochs=400, patience=30
         ),
-        mode=mode,
         aug_strategy="online",
         embedding_dim=16,
         encoder_widths=(64,),
@@ -136,18 +132,20 @@ def _extractor_shape(settings: TrainSettings) -> dict:
 
 
 def _pretrain(
-    unlabeled: Dataset, settings: TrainSettings, seed: int, p: float
+    unlabeled: Dataset, settings: TrainSettings, seed: int
 ) -> Tuple[FeatureExtractor, FitResult]:
     """Build a CroSSL extractor from the settings and pre-train it (uncached)."""
     rng = RandomStream(seed, "crossl")
     fx = build_extractor(
         unlabeled.n_stations, unlabeled.k, rng.child("init"), **_extractor_shape(settings)
     )
-    result = pretrain(fx, unlabeled, p, settings.vicreg, settings.pretrain, rng.child("fit"))
+    result = pretrain(
+        fx, unlabeled, settings.p_mask_crossl, settings.vicreg, settings.pretrain, rng.child("fit")
+    )
     return fx, result
 
 
-def _pretrain_key(unlabeled: Dataset, settings: TrainSettings, seed: int, p: float) -> tuple:
+def _pretrain_key(unlabeled: Dataset, settings: TrainSettings, seed: int) -> tuple:
     """Everything a pre-training run depends on: the seed, the masking rate,
     a digest of the unlabeled data and the pre-training settings (not mode,
     p_mask_sma or the downstream schedule, which only act after it)."""
@@ -158,8 +156,8 @@ def _pretrain_key(unlabeled: Dataset, settings: TrainSettings, seed: int, p: flo
     s = settings
     widths = None if s.encoder_widths is None else tuple(s.encoder_widths)
     return (
-        seed, p, digest.hexdigest(), s.embedding_dim, tuple(s.aggregator_hidden), widths,
-        astuple(s.vicreg), astuple(s.pretrain),
+        seed, s.p_mask_crossl, digest.hexdigest(), s.embedding_dim, tuple(s.aggregator_hidden),
+        widths, astuple(s.vicreg), astuple(s.pretrain),
     )
 
 
@@ -167,17 +165,15 @@ def pretrain_extractor(
     unlabeled: Dataset,
     settings: TrainSettings,
     seed: int,
-    p_mask: Optional[float] = None,
     cache: Optional[dict] = None,
 ) -> FeatureExtractor:
-    """CroSSL-pretrained extractor, cached per seed, p_mask, unlabeled data
-    and pre-training settings."""
-    p = settings.p_mask_crossl if p_mask is None else p_mask
+    """CroSSL-pretrained extractor, cached per seed, unlabeled data and
+    pre-training settings (masking rate included)."""
     if cache is None:
-        return _pretrain(unlabeled, settings, seed, p)[0]
-    key = _pretrain_key(unlabeled, settings, seed, p)
+        return _pretrain(unlabeled, settings, seed)[0]
+    key = _pretrain_key(unlabeled, settings, seed)
     if key not in cache:
-        cache[key] = _pretrain(unlabeled, settings, seed, p)[0]
+        cache[key] = _pretrain(unlabeled, settings, seed)[0]
     return cache[key]
 
 
@@ -192,8 +188,6 @@ class _MethodRun:
     seed: int
     rng: RandomStream
     cache: Optional[dict]
-    p_mask_crossl: Optional[float]
-    p_mask_sma: float
     extractor: Optional[FeatureExtractor]
 
     def require_unlabeled(self) -> Dataset:
@@ -208,9 +202,10 @@ def _naive(r: _MethodRun, rng: RandomStream) -> SensingModel:
 
 
 def _dae(r: _MethodRun):
-    dae_tc = replace(r.settings.pretrain, learning_rate=r.settings.dae_lr)
+    s = r.settings
+    dae_tc = replace(s.pretrain, learning_rate=s.dae_lr)
     dae, _ = train_dae(
-        r.require_unlabeled(), r.p_mask_sma, dae_tc, r.rng.child("dae"), r.settings.embedding_dim
+        r.require_unlabeled(), s.p_mask_sma, dae_tc, r.rng.child("dae"), s.embedding_dim
     )
     return dae
 
@@ -218,7 +213,7 @@ def _dae(r: _MethodRun):
 def _crossl_extractor(r: _MethodRun) -> FeatureExtractor:
     fx = r.extractor
     if fx is None:
-        fx = pretrain_extractor(r.require_unlabeled(), r.settings, r.seed, r.p_mask_crossl, r.cache)
+        fx = pretrain_extractor(r.require_unlabeled(), r.settings, r.seed, r.cache)
     if r.settings.mode == "joint":
         # joint fine-tuning mutates the extractor: work on a private copy
         fx = fx.cast(np.float32)
@@ -238,7 +233,7 @@ def _head_method(extractor, mode: Optional[str], aug_kind: str):
         aug = AugmentConfig()
         if aug_kind != "none":
             aug = AugmentConfig(
-                kind=aug_kind, p_mask=r.p_mask_sma, strategy=s.aug_strategy, p_aug=s.p_aug
+                kind=aug_kind, p_mask=s.p_mask_sma, strategy=s.aug_strategy, p_aug=s.p_aug
             )
         train_downstream(model, r.labeled, aug, s.downstream, r.rng)
         return model
@@ -252,7 +247,7 @@ def _inpaint(r: _MethodRun) -> InpaintingModel:
 
 
 _TRAINERS = {
-    "constant": lambda r: constant_baseline(),
+    "constant": lambda r: ConstantModel(),
     "naive": lambda r: _naive(r, r.rng),
     "ensemble": lambda r: train_ensemble(r.labeled, r.settings.downstream, r.rng),
     "dae": _head_method(lambda r: _dae(r).extractor, "frozen", "none"),
@@ -275,8 +270,6 @@ def train_method(
     settings: TrainSettings,
     seed: int,
     extractor_cache: Optional[dict] = None,
-    p_mask_crossl: Optional[float] = None,
-    p_mask_sma: Optional[float] = None,
     extractor: Optional[FeatureExtractor] = None,
 ):
     """Train one method end to end and return a predictor with .predict.
@@ -287,10 +280,9 @@ def train_method(
         raise ValueError(f"unknown method {name}")
     if extractor is not None and name not in _EXTRACTOR_METHODS:
         raise ValueError(f"{name} does not take a pre-trained extractor")
-    p_sma = settings.p_mask_sma if p_mask_sma is None else p_mask_sma
     run = _MethodRun(
         name, labeled, unlabeled, settings, seed, RandomStream(seed, f"method/{name}"),
-        extractor_cache, p_mask_crossl, p_sma, extractor,
+        extractor_cache, extractor,
     )
     return _TRAINERS[name](run)
 
@@ -323,6 +315,8 @@ def eval_at_availability(
     n_d = test.n_stations
     if not (1 <= k <= n_d):
         raise ValueError(f"k must be in [1, {n_d}], got {k}")
+    if n_draws < 1:
+        raise ValueError(f"n_draws must be at least 1, got {n_draws}")
     n_masked = n_d - k
     if policy == "exhaustive" and math.comb(n_d, n_masked) > EXHAUSTIVE_COMBINATION_CAP:
         policy = "monte_carlo"
@@ -448,16 +442,8 @@ def run_masking_heatmap(
         for p_sma in p_grid:
             per_seed = {k: [] for k in ks}
             for seed in seeds:
-                model = train_method(
-                    "proposed",
-                    train,
-                    unlabeled,
-                    settings,
-                    seed,
-                    extractor_cache,
-                    p_mask_crossl=p_cro,
-                    p_mask_sma=p_sma,
-                )
+                cell = replace(settings, p_mask_crossl=p_cro, p_mask_sma=p_sma)
+                model = train_method("proposed", train, unlabeled, cell, seed, extractor_cache)
                 for k in ks:
                     per_seed[k].append(eval_at_availability(model, test, k))
             for k in ks:

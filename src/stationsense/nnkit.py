@@ -235,18 +235,15 @@ class MlpStack:
 
     @staticmethod
     def group(stacks: List["MlpStack"]) -> "MlpStack":
-        """Group same-shaped stacks that start with a dense layer. Their
-        arrays move into the group: each stack's layers afterwards hold
-        views of the group arrays, so the stacks stay usable and share the
-        group's storage."""
+        """Group same-shaped stacks. Their arrays move into the group: each
+        stack's layers afterwards hold views of the group arrays, so the
+        stacks stay usable and share the group's storage."""
         if not stacks:
             raise ValueError("no stacks to group")
         specs = [[{k: v for k, v in spec.items() if k != "name"} for spec in s.manifest()]
                  for s in stacks]
         if any(s != specs[0] for s in specs):
             raise ValueError("grouped stacks must have the same layers and shapes")
-        if specs[0][0]["kind"] != "dense":
-            raise ValueError("a grouped stack must start with a dense layer")
         layers = []
         for peers in zip(*(s.layers for s in stacks)):
             layer = copy.copy(peers[0])

@@ -2,9 +2,10 @@
 
 Generates a smooth pedestrian trajectory and per-station timestamped complex
 CSI streams with Poisson frame timing, exponential on/off outages, and a
-two-path (LOS + moving scatterer) channel model. Stands in for private
-hardware datasets; the learning pipeline only ever sees (station, timestamp,
-channel vector) triples.
+two-path (LOS + moving scatterer) channel model. The channel model takes an
+(n, 2) batch of positions, one row per frame; there is no single-position
+form. Stands in for private hardware datasets; the learning pipeline only
+ever sees (station, timestamp, channel vector) triples.
 """
 
 from __future__ import annotations
@@ -158,46 +159,28 @@ def gen_trajectory(scenario: Scenario, rng: RandomStream) -> Trajectory:
     )
 
 
-def channel_response(
-    pos, station: int, scenario: Scenario, scatter_coeff: float = None
-) -> np.ndarray:
-    """Two-path channel: fixed LOS (AP -> station) plus a single scattered path
-    via the pedestrian at `pos`.
+def channel_response(positions, station: int, scenario: Scenario) -> np.ndarray:
+    """Two-path channel at (n, 2) pedestrian positions -> (n, k_raw): a fixed
+    LOS path (AP -> station) plus a single path scattered by the pedestrian.
 
     h(k) = a_los * exp(-j 2 pi f_k tau_los) + a_sc * exp(-j 2 pi f_k tau_sc)
 
     Amplitudes follow inverse-distance path loss; the scattered path is
     attenuated by scenario.scatter_coeff and by the product of its two legs,
     so the envelope varies strongly and smoothly with pedestrian position.
-    """
-    pos = np.asarray(pos, dtype=float)
+    The output is built with no temporary of its size."""
+    positions = np.asarray(positions, dtype=float)
+    if positions.ndim != 2 or positions.shape[1] != 2:
+        raise ValueError(f"positions must have shape (n, 2), got {positions.shape}")
     x_max, y_max = scenario.room_extent
-    if not (0 <= pos[0] <= x_max and 0 <= pos[1] <= y_max):
-        raise ValueError(f"position {pos} outside room extent {scenario.room_extent}")
-    if scatter_coeff is None:
-        scatter_coeff = scenario.scatter_coeff
+    inside = (positions >= 0).all(axis=1) & (positions[:, 0] <= x_max) & (positions[:, 1] <= y_max)
+    if not inside.all():
+        raise ValueError(
+            f"position {positions[~inside][0]} outside room extent {scenario.room_extent}"
+        )
     ap = np.asarray(scenario.ap_position)
     st = np.asarray(scenario.station_positions[station])
     d_min = 0.1  # guard against singular path loss at contact
-    d_los = max(float(np.linalg.norm(ap - st)), d_min)
-    d1 = max(float(np.linalg.norm(ap - pos)), d_min)
-    d2 = max(float(np.linalg.norm(pos - st)), d_min)
-    a_los = 1.0 / d_los
-    a_sc = scatter_coeff / (d1 * d2)
-    tau_los = d_los / SPEED_OF_LIGHT
-    tau_sc = (d1 + d2) / SPEED_OF_LIGHT
-    f = scenario.subcarrier_frequencies()
-    return a_los * np.exp(-2j * np.pi * f * tau_los) + a_sc * np.exp(
-        -2j * np.pi * f * tau_sc
-    )
-
-
-def _channel_response_batch(positions: np.ndarray, station: int, scenario: Scenario) -> np.ndarray:
-    """Vectorized channel_response over (n, 2) positions -> (n, k_raw),
-    with no temporary of the output's size."""
-    ap = np.asarray(scenario.ap_position)
-    st = np.asarray(scenario.station_positions[station])
-    d_min = 0.1
     d_los = max(float(np.linalg.norm(ap - st)), d_min)
     d1 = np.maximum(np.linalg.norm(positions - ap, axis=1), d_min)
     d2 = np.maximum(np.linalg.norm(positions - st, axis=1), d_min)
@@ -264,7 +247,7 @@ def gen_csi_streams(
         for start, end in _outage_intervals(scenario.outage, scenario.duration_s, g.child("outage")):
             t = t[(t < start) | (t > end)]
         positions = traj.position(t)
-        values = _channel_response_batch(positions, d, scenario)
+        values = channel_response(positions, d, scenario)
         if scenario.noise_std > 0:
             s = scenario.noise_std / math.sqrt(2.0)
             gn = g.child("noise")

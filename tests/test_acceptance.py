@@ -31,12 +31,12 @@ import stationsense as ss
 from stationsense.core import RandomStream, sample_mask_matrix
 from stationsense.crossl import (
     build_extractor,
-    vicreg_covariance,
-    vicreg_invariance,
+    vicreg_covariance_grad,
+    vicreg_invariance_grad,
     vicreg_loss_grads,
-    vicreg_variance,
+    vicreg_variance_grad,
 )
-from stationsense.downstream import constant_baseline
+from stationsense.downstream import ConstantModel
 from stationsense.harness import (
     desk_settings,
     eval_at_availability,
@@ -226,15 +226,15 @@ def test_power_normalization_and_loss_term_exactness():
         z2 = gen.normal(0, 2.0, (8, 4))
         max_err = max(
             max_err,
-            abs(vicreg_variance(z) - _oracle_variance(z)),
-            abs(vicreg_invariance(z, z2) - _oracle_invariance(z, z2)),
-            abs(vicreg_covariance(z) - _oracle_covariance(z)),
+            abs(vicreg_variance_grad(z)[0] - _oracle_variance(z)),
+            abs(vicreg_invariance_grad(z, z2)[0] - _oracle_invariance(z, z2)),
+            abs(vicreg_covariance_grad(z)[0] - _oracle_covariance(z)),
         )
     ok = ok and max_err <= TOL_LOSS_ORACLE
 
     # hand-checkable values
-    ok = ok and vicreg_covariance(np.array([[1.0, 1.0], [-1.0, -1.0]])) == 4.0
-    ok = ok and vicreg_invariance(np.zeros((3, 2)), np.ones((3, 2))) == 2.0
+    ok = ok and vicreg_covariance_grad(np.array([[1.0, 1.0], [-1.0, -1.0]]))[0] == 4.0
+    ok = ok and vicreg_invariance_grad(np.zeros((3, 2)), np.ones((3, 2)))[0] == 2.0
 
     # masking-rate concentration: 1e5 draws at p=0.5 over 8 slots
     m = sample_mask_matrix(0.5, 100_000, 8, RandomStream(0, "acceptance/maskrate"))
@@ -577,7 +577,7 @@ def test_masking_rate_grid_single_station(desk_data, settings):
 def test_constant_baseline_closed_form():
     t0 = time.perf_counter()
     low, high = 0.166, 0.854
-    model = constant_baseline(0.5)
+    model = ConstantModel(0.5)
     labels = RandomStream(0, "acceptance/labels").uniform(low, high, 1_000_000)
     empirical = float(np.sqrt(np.mean((model.predict(np.zeros((len(labels), 1, 1))) - labels) ** 2)))
     mean = (low + high) / 2

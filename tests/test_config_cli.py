@@ -145,6 +145,9 @@ class TestCli:
             rows = list(csv.DictReader(f))
         assert [r["k_available"] for r in rows] == ["1", "8"]
         assert all(float(r["rmse"]) >= 0 for r in rows)
+        with pytest.raises(ValueError, match="n_draws"):
+            main(["evaluate", "--model", str(model_path), "--dataset", str(data_dir / "test.bin"),
+                  "--policy", "monte_carlo", "--n-draws", "0"])
 
     def test_train_identity_extractor(self, cli_workspace, tmp_path):
         _, cfg_path, data_dir = cli_workspace

@@ -172,7 +172,7 @@ class TestSensingModel:
         )
         assert res.history[5] < res.history[0]
         model_rmse = ss.rmse(model.predict(test.x), test.labels)
-        const_rmse = ss.rmse(ss.constant_baseline().predict(test.x), test.labels)
+        const_rmse = ss.rmse(ss.ConstantModel().predict(test.x), test.labels)
         assert model_rmse < const_rmse
 
     def test_offline_double_uses_expanded_set(self, small_datasets):
@@ -249,11 +249,11 @@ class TestSensingModel:
 class TestConstantBaseline:
     def test_always_same_value(self, small_datasets):
         test = small_datasets[2]
-        model = ss.constant_baseline(0.5)
+        model = ss.ConstantModel(0.5)
         np.testing.assert_array_equal(model.predict(test.x), 0.5)
 
     def test_rmse_zero_on_matching_labels(self):
-        preds = ss.constant_baseline(0.5).predict(np.zeros((10, 2, 3)))
+        preds = ss.ConstantModel(0.5).predict(np.zeros((10, 2, 3)))
         assert ss.rmse(preds, np.full(10, 0.5)) == 0.0
 
 

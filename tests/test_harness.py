@@ -68,7 +68,7 @@ class TestEvalAtAvailability:
 
     def test_full_availability_is_plain_rmse(self):
         test = tiny_dataset()
-        model = ss.constant_baseline(0.5)
+        model = ss.ConstantModel(0.5)
         got = ss.eval_at_availability(model, test, 8)
         assert got == pytest.approx(ss.rmse(model.predict(test.x), test.labels), rel=1e-12)
 
@@ -98,7 +98,7 @@ class TestEvalAtAvailability:
 
     def test_monte_carlo_close_to_exhaustive_for_constant(self):
         test = tiny_dataset(n=200)
-        model = ss.constant_baseline(0.5)
+        model = ss.ConstantModel(0.5)
         ex = ss.eval_at_availability(model, test, 4, "exhaustive")
         mc = ss.eval_at_availability(model, test, 4, "monte_carlo", 500, ss.RandomStream(0, "mc"))
         assert abs(mc - ex) / ex < 1e-9  # constant model is mask-invariant
@@ -111,6 +111,14 @@ class TestEvalAtAvailability:
             ss.eval_at_availability(ProbeModel(), test, 9)
         with pytest.raises(ValueError):
             ss.eval_at_availability(ProbeModel(), test, 4, "bogus")
+
+    def test_rejects_fewer_than_one_draw(self):
+        test = tiny_dataset()
+        for policy in ("monte_carlo", "exhaustive"):
+            probe = ProbeModel()
+            with pytest.raises(ValueError, match="n_draws"):
+                ss.eval_at_availability(probe, test, 4, policy, 0, ss.RandomStream(0, "mc"))
+            assert not probe.calls
 
     def test_deterministic_monte_carlo(self):
         test = tiny_dataset(n=30)
@@ -270,6 +278,8 @@ class TestRunGrid:
             SweepSpec(label_ratios=(0.0,))
         with pytest.raises(ValueError):
             SweepSpec(combination_policy="sometimes")
+        with pytest.raises(ValueError, match="n_draws"):
+            SweepSpec(n_draws=0)
 
 
 def _tiny_settings(**kw):
@@ -306,6 +316,35 @@ class TestPretrainCache:
                         downstream=ss.TrainConfig(1e-2, 64, 5, 1))
         assert harness.pretrain_extractor(unlabeled, after, 0, cache=cache) is base
         assert len(cache) == 2
+        # the pre-training masking rate is a pre-training setting
+        masked = harness.pretrain_extractor(
+            unlabeled, _tiny_settings(p_mask_crossl=0.9), 0, cache=cache
+        )
+        assert masked is not base
+        assert not np.array_equal(masked.embed(unlabeled.x), base.embed(unlabeled.x))
+        assert len(cache) == 3
+
+
+class TestMaskingHeatmap:
+    def test_each_cell_trains_proposed_on_the_cell_settings(self, small_datasets, tmp_path):
+        train, _, test, unlabeled = small_datasets
+        s = _tiny_settings()
+        out = tmp_path / "heatmap.csv"
+        cells = harness.run_masking_heatmap(
+            (0.1, 0.9), (1,), (0,), train, test, unlabeled, s, out
+        )
+        assert [(c["p_mask_crossl"], c["p_mask_sma"]) for c in cells] == [
+            (0.1, 0.1), (0.1, 0.9), (0.9, 0.1), (0.9, 0.9)
+        ]
+        assert len({c["rmse_mean"] for c in cells}) == 4  # each rate reaches training
+        for c in cells:
+            cell = replace(s, p_mask_crossl=c["p_mask_crossl"], p_mask_sma=c["p_mask_sma"])
+            model = train_method("proposed", train, unlabeled, cell, 0)
+            assert c["k_available"] == 1
+            assert c["rmse_mean"] == ss.eval_at_availability(model, test, 1)
+            assert c["rmse_std"] == 0.0
+        with open(out) as f:
+            assert len(list(csv.DictReader(f))) == 4
 
 
 class TestPcaExport:

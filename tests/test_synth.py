@@ -9,7 +9,6 @@ import pytest
 import stationsense as ss
 from stationsense.synth import (
     SPEED_OF_LIGHT,
-    _channel_response_batch,
     _outage_intervals,
     _poisson_arrivals,
 )
@@ -75,46 +74,47 @@ class TestTrajectory:
 class TestChannelResponse:
     def test_matches_hand_computed_two_path_sum(self):
         # independent oracle: evaluate the LOS + scattered-path sum with
-        # explicit scalar arithmetic for a handful of subcarriers
+        # explicit scalar arithmetic, one position, station and subcarrier
+        # at a time
         scen = ss.Scenario()
-        pos = np.array([1.0, 1.2])
-        h = ss.channel_response(pos, 2, scen)
+        positions = np.random.default_rng(0).uniform([0, 0], scen.room_extent, (20, 2))
         ap = np.array(scen.ap_position)
-        st = np.array(scen.station_positions[2])
-        d_los = max(np.hypot(*(ap - st)), 0.1)
-        d1 = max(np.hypot(*(ap - pos)), 0.1)
-        d2 = max(np.hypot(*(pos - st)), 0.1)
         f = scen.subcarrier_frequencies()
-        for k in (0, 17, 63):
-            expect = (1.0 / d_los) * np.exp(
-                -2j * np.pi * f[k] * d_los / SPEED_OF_LIGHT
-            ) + (scen.scatter_coeff / (d1 * d2)) * np.exp(
-                -2j * np.pi * f[k] * (d1 + d2) / SPEED_OF_LIGHT
-            )
-            assert abs(h[k] - expect) < 1e-12
-
-    def test_batch_matches_scalar(self):
-        scen = ss.Scenario()
-        gen = np.random.default_rng(0)
-        positions = gen.uniform([0, 0], scen.room_extent, (20, 2))
-        batch = _channel_response_batch(positions, 5, scen)
-        for i, p in enumerate(positions):
-            np.testing.assert_allclose(batch[i], ss.channel_response(p, 5, scen), rtol=1e-12)
+        for station in range(scen.n_stations):
+            h = ss.channel_response(positions, station, scen)
+            assert h.shape == (20, scen.k_raw)
+            st = np.array(scen.station_positions[station])
+            d_los = max(np.hypot(*(ap - st)), 0.1)
+            for i, pos in enumerate(positions):
+                d1 = max(np.hypot(*(ap - pos)), 0.1)
+                d2 = max(np.hypot(*(pos - st)), 0.1)
+                for k in range(scen.k_raw):
+                    expect = (1.0 / d_los) * np.exp(
+                        -2j * np.pi * f[k] * d_los / SPEED_OF_LIGHT
+                    ) + (scen.scatter_coeff / (d1 * d2)) * np.exp(
+                        -2j * np.pi * f[k] * (d1 + d2) / SPEED_OF_LIGHT
+                    )
+                    assert abs(h[i, k] - expect) < 1e-12
 
     def test_continuity_under_1cm_move(self):
         scen = ss.Scenario()
-        a = np.abs(ss.channel_response([1.5, 1.0], 0, scen))
-        b = np.abs(ss.channel_response([1.51, 1.0], 0, scen))
+        a, b = np.abs(ss.channel_response([[1.5, 1.0], [1.51, 1.0]], 0, scen))
         assert np.linalg.norm(a - b) / np.linalg.norm(a) < 0.05
 
     def test_distance_floor_prevents_blowup(self):
         scen = ss.Scenario()
-        h = ss.channel_response(scen.ap_position, 0, scen)  # pedestrian on the AP
+        h = ss.channel_response([scen.ap_position], 0, scen)  # pedestrian on the AP
         assert np.all(np.isfinite(h))
 
     def test_rejects_position_outside_room(self):
-        with pytest.raises(ValueError):
-            ss.channel_response([-1.0, 0.0], 0, ss.Scenario())
+        with pytest.raises(ValueError, match="outside room"):
+            ss.channel_response([[1.0, 1.0], [-1.0, 0.0]], 0, ss.Scenario())
+
+    def test_rejects_positions_not_n_by_2(self):
+        scen = ss.Scenario()
+        for bad in ([1.0, 1.0], np.ones((3, 3)), np.ones((2, 2, 2))):
+            with pytest.raises(ValueError, match=r"\(n, 2\)"):
+                ss.channel_response(bad, 0, scen)
 
 
 class TestArrivalsAndOutages:

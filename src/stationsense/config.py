@@ -37,9 +37,9 @@ class RunConfig:
     sweep: SweepSpec = field(default_factory=SweepSpec)
 
 
-def desk_scenario(seedless_noise: float = 0.01) -> Scenario:
+def desk_scenario() -> Scenario:
     """Small synthetic run sized for laptop-scale experiments."""
-    return Scenario(duration_s=600.0, noise_std=seedless_noise)
+    return Scenario(duration_s=600.0)
 
 
 def desk_windowing() -> WindowingConfig:

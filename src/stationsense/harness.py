@@ -433,11 +433,15 @@ def run_masking_heatmap(
     unlabeled: Dataset,
     settings: TrainSettings,
     out_path=None,
+    extractor_cache: Optional[dict] = None,
 ) -> List[dict]:
     """Mean RMSE per (pretrain p_mask, downstream p_mask, k) cell, averaged
-    over seeds; mirrors the masking-rate sensitivity grid."""
+    over seeds; mirrors the masking-rate sensitivity grid. Pre-trained
+    extractors are shared through `extractor_cache` (a fresh one when None),
+    as in train_method."""
     cells = []
-    extractor_cache: dict = {}
+    if extractor_cache is None:
+        extractor_cache = {}
     for p_cro in p_grid:
         for p_sma in p_grid:
             per_seed = {k: [] for k in ks}

@@ -75,7 +75,8 @@ class PreprocessedStream:
 
 def preprocess_stream(stream: CsiStream, keep: Sequence[int]) -> PreprocessedStream:
     """Complex magnitudes at the kept subcarrier indices, power-normalized per
-    frame. Indices outside [0, k_raw) raise IndexError."""
+    frame, as a row-major (C-contiguous) array. Indices outside [0, k_raw)
+    raise IndexError."""
     keep = np.asarray(keep, dtype=int)
     k_raw = stream.values.shape[-1]
     if keep.min() < 0 or keep.max() >= k_raw:
@@ -85,7 +86,9 @@ def preprocess_stream(stream: CsiStream, keep: Sequence[int]) -> PreprocessedStr
     # magnitudes first, then the selection: no complex copy of the kept columns
     amps = np.abs(stream.values)[:, keep]
     n_deg = _normalize_rows(amps)
-    return PreprocessedStream(stream.station, stream.timestamps, amps, n_deg)
+    # the column selection is column-major; the row-mean above sums in that
+    # order, and the window scan reads whole rows, so copy only afterwards
+    return PreprocessedStream(stream.station, stream.timestamps, np.ascontiguousarray(amps), n_deg)
 
 
 def window_bounds(timestamps: np.ndarray, centers: np.ndarray, width_s: float):
@@ -198,35 +201,56 @@ def _window_streams(
     return (centers,) + _aggregate_all(streams, centers, spec, keep)
 
 
+# distinct window starts scanned together; a block's running sums stay in cache
+_SCAN_TILE = 512
+
+
 def _scan_window_means(amps: np.ndarray, lo: np.ndarray, count: np.ndarray, out: np.ndarray) -> None:
     """out[i] = amps[lo[i] : lo[i] + count[i]].mean(axis=0) for every window
     with count[i] > 0, bit for bit; other rows of `out` are left alone.
 
     numpy's mean over axis 0 adds the float64 rows in order from the first,
     then divides by the count, so windows with the same first frame share one
-    running sum. Step j adds row start + j - 1 to every distinct start that
-    still needs it, then emits the windows of j frames. The working set is
-    O(distinct starts * K). (With K == 1 numpy sums the single column
+    running sum. The distinct starts are scanned in position order, in blocks
+    of _SCAN_TILE: step j adds row start + j - 1 to each sum of the block,
+    then emits the block's windows of j frames. A block whose starts span at
+    most twice as many frames as it has starts keeps one sum per frame of the
+    span and adds a contiguous slice of `amps`; a sparser block gathers its
+    starts' rows. Rows added after a sum's last window is emitted, or to a
+    frame no window starts at, are never read. The working set is
+    O(_SCAN_TILE * K). (With K == 1 numpy sums the single column
     pairwise instead, so for windows of 8 or more frames the float64 sums
     may differ in the last bits and the float32 result by one unit.)"""
     filled = np.flatnonzero(count)
     if filled.size == 0:
         return
-    wins = filled[np.argsort(-count[filled], kind="stable")]  # longest window first
-    neg_size = -count[wins]
-    _, first = np.unique(lo[wins], return_index=True)
-    first.sort()
-    # each distinct start once, ordered by its longest window, so the starts
-    # that still need a row at step j are a prefix
-    starts, neg_need = lo[wins[first]], neg_size[first]
-    row = np.empty(len(amps), dtype=np.intp)
-    row[starts] = np.arange(len(starts))
-    total = np.zeros((len(starts), amps.shape[1]))
-    for j in range(1, count[wins[0]] + 1):
-        active = np.searchsorted(neg_need, -j, "right")
-        total[:active] += amps[starts[:active] + j - 1]
-        done = wins[np.searchsorted(neg_size, -j) : np.searchsorted(neg_size, -j, "right")]
-        out[done] = total[row[lo[done]]] / j
+    starts, start_of = np.unique(lo[filled], return_inverse=True)
+    block_of = start_of // _SCAN_TILE
+    order = np.lexsort((count[filled], block_of))  # by block, shortest window first
+    wins, start_of, size = filled[order], start_of[order], count[filled][order]
+    edges = np.r_[0, np.bincount(block_of).cumsum()]  # block b's windows: edges[b]:edges[b + 1]
+    for b in range(len(edges) - 1):
+        block = starts[b * _SCAN_TILE : (b + 1) * _SCAN_TILE]
+        w = slice(edges[b], edges[b + 1])
+        s0, span = block[0], block[-1] - block[0] + 1
+        dense = span <= 2 * len(block)
+        slot = start_of[w] - b * _SCAN_TILE
+        if dense:
+            slot = block[slot] - s0
+        bw, bsize = wins[w], size[w]
+        # windows of j frames are bw[by_size[j - 1] : by_size[j]]
+        by_size = np.searchsorted(bsize, np.arange(1, bsize[-1] + 2))
+        total = np.zeros((span if dense else len(block), amps.shape[1]))
+        for j in range(1, bsize[-1] + 1):
+            if dense:
+                rows = amps[s0 + j - 1 : s0 + j - 1 + span]  # clipped at the last row
+                total[: len(rows)] += rows
+            else:
+                m = np.searchsorted(block, len(amps) - j + 1)  # starts whose row j exists
+                total[:m] += amps[block[:m] + j - 1]
+            a, c = by_size[j - 1], by_size[j]
+            if a < c:
+                out[bw[a:c]] = total[slot[a:c]] / j
 
 
 def split_counts(n: int, ratios: Tuple[float, float, float]) -> Tuple[int, int, int]:

@@ -168,7 +168,10 @@ def channel_response(positions, station: int, scenario: Scenario) -> np.ndarray:
     Amplitudes follow inverse-distance path loss; the scattered path is
     attenuated by scenario.scatter_coeff and by the product of its two legs,
     so the envelope varies strongly and smoothly with pedestrian position.
-    The output is built with no temporary of its size."""
+    The output is built with no temporary of its size. A station outside
+    [0, n_stations) raises ValueError."""
+    if not 0 <= station < scenario.n_stations:
+        raise ValueError(f"station {station} outside [0, {scenario.n_stations})")
     positions = np.asarray(positions, dtype=float)
     if positions.ndim != 2 or positions.shape[1] != 2:
         raise ValueError(f"positions must have shape (n, 2), got {positions.shape}")

@@ -330,9 +330,11 @@ class TestMaskingHeatmap:
         train, _, test, unlabeled = small_datasets
         s = _tiny_settings()
         out = tmp_path / "heatmap.csv"
+        cache = {}
         cells = harness.run_masking_heatmap(
-            (0.1, 0.9), (1,), (0,), train, test, unlabeled, s, out
+            (0.1, 0.9), (1,), (0,), train, test, unlabeled, s, out, extractor_cache=cache
         )
+        assert len(cache) == 2  # one pre-training per p_mask_crossl, kept in the caller's cache
         assert [(c["p_mask_crossl"], c["p_mask_sma"]) for c in cells] == [
             (0.1, 0.1), (0.1, 0.9), (0.9, 0.1), (0.9, 0.9)
         ]

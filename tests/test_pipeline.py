@@ -46,6 +46,13 @@ class TestSelectSubcarriers:
         # magnitudes 5 and 13, scaled to unit mean power (mean of 25, 169 is 97)
         np.testing.assert_allclose(ps.amps, [[5.0 / np.sqrt(97.0), 13.0 / np.sqrt(97.0)]])
 
+    def test_amps_are_row_major(self):
+        # the window scan reads whole frames: one frame's amplitudes must be
+        # contiguous, not strided by the frame count
+        values = np.random.default_rng(2).normal(size=(40, 64)) * (1 + 1j)
+        ps = ss.preprocess_stream(CsiStream(0, np.arange(40.0), values), default_keep_list())
+        assert ps.amps.shape == (40, 52) and ps.amps.flags.c_contiguous
+
     def test_out_of_range_index_rejected(self):
         stream = CsiStream(0, np.array([1.0]), np.ones((1, 4), dtype=complex))
         for keep in ([4], [-1, 0]):
@@ -192,9 +199,14 @@ class TestScanMatchesLoop:
     # every window covers every frame
     @example(ticks=[list(range(0, 40, 2)) * 2], centers=[20, 0, 40, 7], width=30.0, k=4, seed=2)
     def test_bitwise_equal_to_loop(self, ticks, centers, width, k, seed):
-        (x, missing), (want_x, want_missing) = self._both(ticks, centers, width, k, seed)
-        np.testing.assert_array_equal(missing, want_missing)
-        np.testing.assert_array_equal(x.view(np.uint32), want_x.view(np.uint32))
+        # blocks of one, two and three starts reach multi-block scans and both
+        # block kinds (one sum per frame of the span, or gathered starts)
+        for tile in (1, 2, 3, pipeline._SCAN_TILE):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(pipeline, "_SCAN_TILE", tile)
+                (x, missing), (want_x, want_missing) = self._both(ticks, centers, width, k, seed)
+            np.testing.assert_array_equal(missing, want_missing)
+            np.testing.assert_array_equal(x.view(np.uint32), want_x.view(np.uint32))
 
     @settings(max_examples=100, deadline=None)
     @given(ticks=_TICKS, centers=_CENTERS, width=_WIDTHS, seed=st.integers(0, 2**32 - 1))
@@ -290,8 +302,10 @@ def _window_digest(d: ss.Dataset) -> str:
 
 
 # sha256 of x then missing bytes for train, val, test and unlabeled, as the
-# per-window loop built them: the conftest 120 s run, and a 16-station desk
-# run (seed 1, desk windowing)
+# per-window loop built them: the conftest 120 s run and a 16-station desk
+# run (seed 1, desk windowing); and, as the longest-window-first scan built
+# them, an 8-station 40 s desk run at the paper's rates (seed 1,
+# WindowingConfig defaults), where nearly every frame starts a window
 _GOLDEN_WINDOWS = {
     "small": (
         "e0c1c26ace9f686b2e2390637389465d4a8f942c45f47a70575bbd9c51b3977e",
@@ -305,7 +319,24 @@ _GOLDEN_WINDOWS = {
         "b9d64d0ed21a2cd59db5cac825cc1d78e3331704a47a55b4bb0e2be1a6057be8",
         "539017fa83b32fd81c1d08297035384a07c09981dcf5d22cd65cb542afa238a7",
     ),
+    "paper8": (
+        "5e8884fa168cce04e62a94e45f89fa353b6c8c98effe44361098e4d903673506",
+        "754f6eef2898a84623898c52ebf1a5ec2bb5bd222bf086e5494f48b4361c89c0",
+        "f67620cb8174bd632bdb885ad7c7515fa1f709a84f1811fcf16a5a0caf392e66",
+        "a1811861575e0548ab377e00ef37d44e68084ae2256224339bc4903dadb260e0",
+    ),
 }
+
+
+def _all_splits(scenario, win, seed=1):
+    """Train, val, test and unlabeled splits of one seeded simulated run."""
+    rng = ss.RandomStream(seed, "sim")
+    traj = ss.gen_trajectory(scenario, rng.child("traj"))
+    streams = ss.gen_csi_streams(scenario, traj, rng.child("streams"))
+    spec = win.labeled_spec()
+    splits = ss.build_labeled_dataset(streams, traj, spec, win.split_ratios)
+    train_end = float(splits[0].timestamps[-1]) + spec.width_s / 2
+    return splits + (ss.build_unlabeled_dataset(streams, win.unlabeled_spec(), win.label_rate_hz, train_end),)
 
 
 class TestBuildDatasets:
@@ -337,17 +368,13 @@ class TestBuildDatasets:
     def test_golden_window_bytes(self, small_datasets):
         for d, want in zip(small_datasets, _GOLDEN_WINDOWS["small"]):
             assert _window_digest(d) == want, d.split
-        scenario = replace(ss.desk_scenario(), n_stations=16, station_positions=None)
-        win = ss.desk_windowing()
-        rng = ss.RandomStream(1, "sim")
-        traj = ss.gen_trajectory(scenario, rng.child("traj"))
-        streams = ss.gen_csi_streams(scenario, traj, rng.child("streams"))
-        spec = win.labeled_spec()
-        splits = ss.build_labeled_dataset(streams, traj, spec, win.split_ratios)
-        train_end = float(splits[0].timestamps[-1]) + spec.width_s / 2
-        splits += (ss.build_unlabeled_dataset(streams, win.unlabeled_spec(), win.label_rate_hz, train_end),)
-        for d, want in zip(splits, _GOLDEN_WINDOWS["desk16"]):
-            assert _window_digest(d) == want, d.split
+        runs = {
+            "desk16": (replace(ss.desk_scenario(), n_stations=16, station_positions=None), ss.desk_windowing()),
+            "paper8": (replace(ss.desk_scenario(), duration_s=40.0), ss.WindowingConfig()),
+        }
+        for name, (scenario, win) in runs.items():
+            for d, want in zip(_all_splits(scenario, win), _GOLDEN_WINDOWS[name]):
+                assert _window_digest(d) == want, (name, d.split)
 
     def test_labels_match_trajectory(self, small_run, small_datasets):
         _, traj, _ = small_run

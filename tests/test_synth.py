@@ -110,6 +110,13 @@ class TestChannelResponse:
         with pytest.raises(ValueError, match="outside room"):
             ss.channel_response([[1.0, 1.0], [-1.0, 0.0]], 0, ss.Scenario())
 
+    def test_rejects_station_outside_scenario(self):
+        # -1 would index the last station's position, n_stations past the end
+        scen = ss.Scenario()
+        for station in (-1, scen.n_stations):
+            with pytest.raises(ValueError, match="station"):
+                ss.channel_response([[1.0, 1.0]], station, scen)
+
     def test_rejects_positions_not_n_by_2(self):
         scen = ss.Scenario()
         for bad in ([1.0, 1.0], np.ones((3, 3)), np.ones((2, 2, 2))):

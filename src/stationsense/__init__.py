@@ -58,7 +58,6 @@ from .downstream import (
     train_dae,
     train_downstream,
     train_ensemble,
-    train_naive,
 )
 from .harness import (
     METHODS,

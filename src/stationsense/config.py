@@ -3,16 +3,14 @@
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
-from typing import Optional, Tuple
+from dataclasses import asdict, dataclass, field, is_dataclass
+from typing import Optional, Tuple, get_type_hints
 
 import yaml
 
-from .crossl import VicregWeights
 from .harness import SweepSpec, TrainSettings
-from .nnkit import TrainConfig
 from .pipeline import WindowSpec
-from .synth import OutageSpec, Scenario
+from .synth import Scenario
 
 
 @dataclass(frozen=True)
@@ -46,40 +44,22 @@ def desk_windowing() -> WindowingConfig:
     return WindowingConfig(width_s=2.0, label_rate_hz=2.4, ssl_rate_hz=4.8)
 
 
-def config_from_dict(doc: dict) -> RunConfig:
-    doc = dict(doc or {})
-    scen_doc = dict(doc.get("scenario", {}))
-    if "outage" in scen_doc:
-        scen_doc["outage"] = OutageSpec(**scen_doc["outage"])
-    if "room_extent" in scen_doc:
-        scen_doc["room_extent"] = tuple(scen_doc["room_extent"])
-    if "ap_position" in scen_doc:
-        scen_doc["ap_position"] = tuple(scen_doc["ap_position"])
-    if "station_positions" in scen_doc:
-        scen_doc["station_positions"] = tuple(tuple(p) for p in scen_doc["station_positions"])
-    scenario = Scenario(**scen_doc)
+def _from_yaml(value, hint):
+    """`value` read as type `hint`: a mapping builds the dataclass `hint`
+    names, field by field by its type hints, and every list becomes a tuple.
+    An unknown key or a missing (null) mapping raises TypeError."""
+    if is_dataclass(hint):
+        if not isinstance(value, dict):
+            raise TypeError(f"{hint.__name__} needs a mapping, got {value!r}")
+        hints = get_type_hints(hint)
+        return hint(**{k: _from_yaml(v, hints.get(k)) for k, v in value.items()})
+    if isinstance(value, list):
+        return tuple(_from_yaml(v, None) for v in value)
+    return value
 
-    win_doc = dict(doc.get("windowing", {}))
-    if "split_ratios" in win_doc:
-        win_doc["split_ratios"] = tuple(win_doc["split_ratios"])
-    windowing = WindowingConfig(**win_doc)
 
-    tr_doc = dict(doc.get("training", {}))
-    for key, cls in (("pretrain", TrainConfig), ("downstream", TrainConfig), ("vicreg", VicregWeights)):
-        if key in tr_doc:
-            tr_doc[key] = cls(**tr_doc[key])
-    if "aggregator_hidden" in tr_doc:
-        tr_doc["aggregator_hidden"] = tuple(tr_doc["aggregator_hidden"])
-    if tr_doc.get("encoder_widths") is not None:
-        tr_doc["encoder_widths"] = tuple(tr_doc["encoder_widths"])
-    training = TrainSettings(**tr_doc)
-
-    sw_doc = dict(doc.get("sweep", {}))
-    for key in ("available_station_counts", "label_ratios", "seeds"):
-        if key in sw_doc:
-            sw_doc[key] = tuple(sw_doc[key])
-    sweep = SweepSpec(**sw_doc)
-    return RunConfig(scenario=scenario, windowing=windowing, training=training, sweep=sweep)
+def config_from_dict(doc: Optional[dict]) -> RunConfig:
+    return _from_yaml(doc or {}, RunConfig)
 
 
 def load_config(path: Optional[str]) -> RunConfig:

@@ -192,6 +192,23 @@ def train_downstream(
     return fit_loop(params, step, len(x), tc, rng.child("downstream"), buffers)
 
 
+def _train_head(
+    labeled: Dataset,
+    extractor: Optional[FeatureExtractor],
+    mode: str,
+    aug: AugmentConfig,
+    tc: TrainConfig,
+    rng: RandomStream,
+) -> SensingModel:
+    """The one head trainer of every method: a head from `rng.child("init")`
+    on the extractor's embedding (on the concatenated raw stations when
+    `extractor` is None), fitted by train_downstream with `rng`."""
+    n_in = labeled.n_stations * labeled.k if extractor is None else extractor.embedding_dim
+    model = SensingModel(extractor, build_head(n_in, rng.child("init")), mode)
+    train_downstream(model, labeled, aug, tc, rng)
+    return model
+
+
 # ---------------------------------------------------------------------------
 # baselines
 # ---------------------------------------------------------------------------
@@ -205,33 +222,6 @@ class ConstantModel:
 
     def predict(self, xb: np.ndarray) -> np.ndarray:
         return np.full(np.asarray(xb).shape[0], self.value)
-
-
-def train_naive(
-    labeled: Dataset,
-    tc: TrainConfig,
-    rng: RandomStream,
-    variant: str = "office",
-    **extractor_shape,
-) -> SensingModel:
-    """NaiveSupervised: no pre-training, no augmentation.
-
-    office variant: head directly on the concatenated station inputs.
-    factory variant: fresh extractor trained end-to-end with the head;
-    `extractor_shape` (embedding_dim, aggregator_hidden, encoder_widths) goes
-    to build_extractor.
-    """
-    if variant == "office":
-        head = build_head(labeled.n_stations * labeled.k, rng.child("init"))
-        model = SensingModel(None, head, "joint")
-    elif variant == "factory":
-        fx = build_extractor(labeled.n_stations, labeled.k, rng.child("init/fx"), **extractor_shape)
-        head = build_head(fx.embedding_dim, rng.child("init/head"))
-        model = SensingModel(fx, head, "joint")
-    else:
-        raise ValueError(f"unknown naive variant {variant}")
-    train_downstream(model, labeled, AugmentConfig(kind="none"), tc, rng)
-    return model
 
 
 class EnsembleModel:
@@ -265,10 +255,7 @@ def train_ensemble(labeled: Dataset, tc: TrainConfig, rng: RandomStream) -> Ense
             timestamps=labeled.timestamps,
             provenance=dict(labeled.provenance),
         )
-        head = build_head(labeled.k, rng.child(f"member{d}/init"))
-        model = SensingModel(None, head, "joint")
-        train_downstream(model, sub, AugmentConfig(kind="none"), tc, rng.child(f"member{d}"))
-        members.append(model)
+        members.append(_train_head(sub, None, "joint", AugmentConfig(), tc, rng.child(f"member{d}")))
     return EnsembleModel(members)
 
 

@@ -27,11 +27,10 @@ from .downstream import (
     ConstantModel,
     InpaintingModel,
     SensingModel,
-    build_head,
+    _train_head,
     train_dae,
-    train_downstream,
+    train_downstream,  # noqa: F401  kept bound here: perfbench's tracer test wraps it
     train_ensemble,
-    train_naive,
 )
 from .nnkit import FitResult, TrainConfig
 from .pipeline import Dataset
@@ -197,8 +196,17 @@ class _MethodRun:
 
 
 def _naive(r: _MethodRun, rng: RandomStream) -> SensingModel:
-    s = r.settings
-    return train_naive(r.labeled, s.downstream, rng, s.naive_variant, **_extractor_shape(s))
+    """NaiveSupervised: no pre-training, no augmentation. The office variant
+    trains a head on the concatenated station inputs; the factory variant a
+    fresh extractor end to end with its head."""
+    s, fx = r.settings, None
+    if s.naive_variant == "factory":
+        fx = build_extractor(
+            r.labeled.n_stations, r.labeled.k, rng.child("init/fx"), **_extractor_shape(s)
+        )
+    elif s.naive_variant != "office":
+        raise ValueError(f"unknown naive variant {s.naive_variant}")
+    return _train_head(r.labeled, fx, "joint", AugmentConfig(), s.downstream, rng)
 
 
 def _dae(r: _MethodRun):
@@ -228,15 +236,12 @@ def _head_method(extractor, mode: Optional[str], aug_kind: str):
     def train(r: _MethodRun) -> SensingModel:
         s = r.settings
         fx = None if extractor is None else extractor(r)
-        n_in = r.labeled.n_stations * r.labeled.k if fx is None else fx.embedding_dim
-        model = SensingModel(fx, build_head(n_in, r.rng.child("init")), mode or s.mode)
         aug = AugmentConfig()
         if aug_kind != "none":
             aug = AugmentConfig(
                 kind=aug_kind, p_mask=s.p_mask_sma, strategy=s.aug_strategy, p_aug=s.p_aug
             )
-        train_downstream(model, r.labeled, aug, s.downstream, r.rng)
-        return model
+        return _train_head(r.labeled, fx, mode or s.mode, aug, s.downstream, r.rng)
 
     return train
 

@@ -527,46 +527,55 @@ class CheckpointError(Exception):
 
 def write_bundle(path, manifest: dict, arrays: Dict[str, np.ndarray]) -> None:
     """Versioned container: JSON manifest + float32 array payloads + CRC32."""
-    table = []
-    payload = bytearray()
-    for name in sorted(arrays.keys()):
-        a = np.ascontiguousarray(arrays[name], dtype="<f4")
-        table.append({"name": name, "shape": list(a.shape)})
-        payload += a.tobytes()
+    names = sorted(arrays)
+    blocks = [np.ascontiguousarray(arrays[name], dtype="<f4") for name in names]
+    table = [{"name": name, "shape": list(a.shape)} for name, a in zip(names, blocks)]
     doc = json.dumps({"manifest": manifest, "arrays": table}).encode()
-    buf = bytearray()
-    buf += _CK_MAGIC
+    buf = bytearray(_CK_MAGIC)
     buf += struct.pack("<II", _CK_VERSION, len(doc))
     buf += doc
-    buf += payload
-    buf += struct.pack("<I", zlib.crc32(bytes(buf)))
+    for a in blocks:
+        buf += a.data
+    buf += struct.pack("<I", zlib.crc32(buf))
     with open(path, "wb") as f:
-        f.write(bytes(buf))
+        f.write(buf)
+
+
+def _check_crc(raw: bytes) -> None:
+    (crc_stored,) = struct.unpack("<I", raw[-4:])
+    if zlib.crc32(memoryview(raw)[:-4]) != crc_stored:
+        raise CheckpointError("checksum failure")
 
 
 def read_bundle(path) -> Tuple[dict, Dict[str, np.ndarray]]:
+    """Manifest and arrays of a bundle. The file's length is checked against
+    the size its header and array table imply before the CRC, so a cut file
+    reports truncation, not a checksum failure."""
     with open(path, "rb") as f:
         raw = f.read()
     if len(raw) < 16 or raw[:4] != _CK_MAGIC:
         raise CheckpointError("not a checkpoint file")
-    (crc_stored,) = struct.unpack("<I", raw[-4:])
-    if zlib.crc32(raw[:-4]) != crc_stored:
-        raise CheckpointError("checksum failure")
     version, doc_len = struct.unpack("<II", raw[4:12])
-    if version != _CK_VERSION:
-        raise CheckpointError(f"unsupported checkpoint version {version}")
+    size = 16 + doc_len  # header and CRC, before the array table adds its payload
+    if len(raw) < size:
+        raise CheckpointError(f"truncated checkpoint: {len(raw)} bytes, its header needs {size}")
     try:
         doc = json.loads(raw[12 : 12 + doc_len])
         manifest = doc["manifest"]
-        arrays = {}
-        off = 12 + doc_len
-        for entry in doc["arrays"]:
-            shape = tuple(entry["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            arrays[entry["name"]] = np.frombuffer(raw, "<f4", count, off).reshape(shape).copy()
+        table = [(e["name"], tuple(e["shape"])) for e in doc["arrays"]]
+        size += 4 * sum(int(np.prod(shape)) for _, shape in table)
+        if len(raw) != size:
+            cut = "truncated checkpoint" if len(raw) < size else "checkpoint size mismatch"
+            raise CheckpointError(f"{cut}: {len(raw)} bytes, header and table imply {size}")
+        _check_crc(raw)
+        if version != _CK_VERSION:
+            raise CheckpointError(f"unsupported checkpoint version {version}")
+        arrays, off = {}, 12 + doc_len
+        for name, shape in table:
+            count = int(np.prod(shape))
+            arrays[name] = np.frombuffer(raw, "<f4", count, off).reshape(shape).copy()
             off += count * 4
     except (ValueError, KeyError, TypeError) as exc:
+        _check_crc(raw)  # a corrupt header is a checksum failure; an intact one is malformed
         raise CheckpointError(f"malformed checkpoint header: {exc!r}") from exc
-    if off != len(raw) - 4:
-        raise CheckpointError("payload size does not match manifest")
     return manifest, arrays

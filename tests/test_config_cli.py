@@ -48,6 +48,22 @@ class TestConfig:
         assert cfg.training.downstream.learning_rate == 0.01
         assert cfg.sweep.seeds == (5,)
 
+    @pytest.mark.parametrize(
+        "section",
+        ["scenario", "scenario.outage", "windowing", "training", "training.pretrain",
+         "training.downstream", "training.vicreg", "sweep"],
+    )
+    def test_unknown_key_and_null_section_raise(self, section):
+        def doc(leaf):
+            for key in reversed(section.split(".")):
+                leaf = {key: leaf}
+            return leaf
+
+        with pytest.raises(TypeError):
+            config_from_dict(doc({"no_such_key": 1}))
+        with pytest.raises(TypeError):
+            config_from_dict(doc(None))
+
     def test_to_dict_yaml_safe(self):
         doc = config_to_dict(ss.RunConfig())
         yaml.safe_dump(doc)  # must not choke on tuples/arrays

@@ -25,6 +25,12 @@ def small_settings(epochs=30):
     return ss.TrainConfig(1e-3, 128, epochs, min(10, epochs - 1))
 
 
+def naive_model(labeled, epochs, seed=0, variant="office"):
+    """`naive` as train_method builds it, on a short downstream schedule."""
+    settings = ss.TrainSettings(downstream=small_settings(epochs), naive_variant=variant)
+    return ss.train_method("naive", labeled, None, settings, seed)
+
+
 # ---------------------------------------------------------------------------
 # augmentations
 # ---------------------------------------------------------------------------
@@ -260,18 +266,18 @@ class TestConstantBaseline:
 class TestNaiveSupervised:
     def test_office_variant_has_no_extractor(self, small_datasets):
         train = small_datasets[0]
-        model = ss.train_naive(train, small_settings(5), ss.RandomStream(0, "nv"))
+        model = naive_model(train, 5)
         assert model.extractor is None
 
     def test_factory_variant_trains_extractor(self, small_datasets):
         train = small_datasets[0]
         sub = train.subset(np.arange(64))
-        model = ss.train_naive(sub, small_settings(3), ss.RandomStream(0, "nv"), "factory")
+        model = naive_model(sub, 3, variant="factory")
         assert model.extractor is not None
 
     def test_unknown_variant(self, small_datasets):
         with pytest.raises(ValueError):
-            ss.train_naive(small_datasets[0], small_settings(2), ss.RandomStream(0, "nv"), "x")
+            naive_model(small_datasets[0], 2, variant="x")
 
 
 class TestEnsemble:
@@ -376,8 +382,7 @@ class TestDenoisingAutoencoder:
 class TestInpaintingModel:
     def test_differs_from_zero_filled_under_missingness(self, small_datasets):
         train, _, test, unlabeled = small_datasets
-        base = ss.train_naive(train.subset(np.arange(128)), small_settings(5),
-                              ss.RandomStream(0, "ip"))
+        base = naive_model(train.subset(np.arange(128)), 5)
         dae, _ = ss.train_dae(unlabeled, 0.5, small_settings(3), ss.RandomStream(0, "ip2"),
                               embedding_dim=16)
         model = ss.InpaintingModel(base, dae)
@@ -387,8 +392,7 @@ class TestInpaintingModel:
 
     def test_sample_level_prediction(self, small_datasets):
         train, _, test, unlabeled = small_datasets
-        base = ss.train_naive(train.subset(np.arange(64)), small_settings(3),
-                              ss.RandomStream(1, "ip"))
+        base = naive_model(train.subset(np.arange(64)), 3, seed=1)
         dae, _ = ss.train_dae(unlabeled, 0.5, small_settings(2), ss.RandomStream(1, "ip2"),
                               embedding_dim=16)
         model = ss.InpaintingModel(base, dae)
@@ -434,8 +438,7 @@ class TestModelCheckpoint:
 
     def test_headless_extractor_none_round_trip(self, small_datasets, tmp_path):
         train, _, test, _ = small_datasets
-        model = ss.train_naive(train.subset(np.arange(64)), small_settings(3),
-                               ss.RandomStream(0, "nv2"))
+        model = naive_model(train.subset(np.arange(64)), 3)
         p = tmp_path / "naive.ck"
         ss.save_checkpoint(model, p)
         back = ss.load_checkpoint(p)

@@ -1,5 +1,6 @@
 """Golden hashes of the training maths: the loss and every gradient of one
-pre-training step and one joint downstream step, and one eval embedding.
+pre-training step and one joint downstream step, one eval embedding, and the
+predictions of every trained method that `train_method` builds.
 
 Each step is the real step body of `pretrain` or `train_downstream`: the
 module's `fit_loop` is replaced by one that calls the step once on a fixed
@@ -12,6 +13,7 @@ another BLAS may round differently.
 import hashlib
 
 import numpy as np
+import pytest
 
 import stationsense as ss
 from stationsense import crossl, downstream
@@ -28,8 +30,8 @@ def _digest(loss, arrays):
     return h.hexdigest()
 
 
-def _dataset(split, labeled):
-    gen = np.random.default_rng(7)
+def _dataset(split, labeled, seed=7):
+    gen = np.random.default_rng(seed)
     x = gen.random((N, N_D, K)).astype(np.float32)
     missing = np.zeros((N, N_D), bool)
     missing[::5, 1] = True
@@ -88,3 +90,37 @@ class TestGoldenTraining:
         z = fx.embed(x[:17], "eval")
         assert z.dtype == np.float32 and z.shape == (17, 8)
         assert _digest(0.0, {"z": z, **fx.buffers()}) == self.GOLDEN_SHA256["embed"]
+
+
+class TestGoldenMethods:
+    """`train_method(name, ...).predict` on tiny data, for every method that
+    trains a head (naive in its default office variant). Pins the
+    initialisation streams, the head shape, the augmentation and the fit of
+    each method, bit for bit."""
+
+    GOLDEN_SHA256 = {
+        "naive": "67715595dbc6cf0b8c0d766c45334bb2dbdf49c9ea30a73d298810286b79f731",
+        "sma": "981eb839d68f1b333f8484a75d19eb955b345a920cf1fba855ee9e8b727ed02b",
+        "re": "24bcdb7edb5229d879d7ad38561e387b561e00f227374cd1bf4dd4860fbed003",
+        "ensemble": "badec18effcfda741fe517d5a5101333d03f6453a4f999059c28bb227ea33c78",
+        "dae": "c1951a152cf5750368c69b352da6cd24f35704523e8c2295dc358e26bbe4bf21",
+        "crossl": "883faa48790725c7b9ab3451385f47dbd4f01c4bcdd2e3c082bf9d39b62a1a7f",
+        "proposed": "a7fa80ed6891b769c92df2769fb1143f6bf0ba6a7288f1df84b74eb37bc1a4b3",
+        "inpaint": "1a8cbaad0e764236d572720048ae0f3ab4be1bde0182060cf9184cc6aedaafb5",
+    }
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_SHA256))
+    def test_predictions(self, name):
+        settings = ss.TrainSettings(
+            pretrain=ss.TrainConfig(1e-3, N, 2, 1),
+            downstream=ss.TrainConfig(1e-3, 16, 3, 2),
+            embedding_dim=8,
+            aggregator_hidden=(16, 12),
+            encoder_widths=(8,),
+            aug_strategy="online",
+        )
+        train, test = _dataset("train", True, 1), _dataset("test", True, 2)
+        model = ss.train_method(name, train, _dataset("unlabeled", False, 3), settings, 0)
+        pred = model.predict(test.x)
+        assert pred.shape == (N,) and np.isfinite(pred).all()
+        assert _digest(0.0, {"pred": pred}) == self.GOLDEN_SHA256[name]

@@ -254,7 +254,7 @@ class TestRunGrid:
         def fail(*args, **kwargs):
             raise AssertionError("the naive base trained before the unlabeled check")
 
-        monkeypatch.setattr(harness, "train_naive", fail)
+        monkeypatch.setattr(harness, "_train_head", fail)
         with pytest.raises(ValueError, match="unlabeled"):
             train_method("inpaint", small_datasets[0], None, ss.TrainSettings(), 0)
 

@@ -463,6 +463,19 @@ class TestCheckpoints:
             with pytest.raises(ss.CheckpointError):
                 read_bundle(p)
 
+    def test_truncated_bundle_reports_truncation(self, tmp_path):
+        p = tmp_path / "t.ck"
+        write_bundle(p, {}, {"a": np.ones((32, 32), np.float32)})
+        raw = p.read_bytes()
+        assert len(raw) > 4000
+        for cut in (raw[:-10], raw[:-500], raw[:20]):
+            p.write_bytes(cut)
+            with pytest.raises(ss.CheckpointError, match="truncated"):
+                read_bundle(p)
+        p.write_bytes(raw + b"\0")
+        with pytest.raises(ss.CheckpointError, match="size"):
+            read_bundle(p)
+
     def test_bundle_manifest_round_trip(self, tmp_path):
         p = tmp_path / "b.ck"
         arrays = {"a": np.arange(6, dtype=np.float32).reshape(2, 3)}

@@ -21,6 +21,8 @@ from .pipeline import (
     Dataset,
     DatasetFormatError,
     WindowSpec,
+    WindowingConfig,
+    build_datasets,
     build_labeled_dataset,
     build_unlabeled_dataset,
     default_keep_list,
@@ -77,7 +79,6 @@ from .harness import (
 )
 from .config import (
     RunConfig,
-    WindowingConfig,
     desk_scenario,
     desk_windowing,
     dump_config,

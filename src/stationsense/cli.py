@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig, config_to_dict, dump_config, load_config
+from .config import config_to_dict, dump_config, load_config
 from .core import RandomStream
 from .downstream import load_checkpoint, save_checkpoint
 from .harness import (
@@ -29,14 +29,13 @@ from .harness import (
 )
 from .pipeline import (
     Dataset,
-    build_labeled_dataset,
-    build_unlabeled_dataset,
+    _simulation,
+    build_datasets,
     export_csv,
     load_dataset,
     save_dataset,
     scenario_hash,
 )
-from .synth import gen_csi_streams, gen_trajectory
 
 # the train_method methods whose result is a checkpointable SensingModel
 TRAIN_METHODS = ("naive", "sma", "re", "crossl", "proposed")
@@ -48,25 +47,18 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _simulate(cfg: RunConfig, seed: int):
-    rng = RandomStream(seed, "synth")
-    traj = gen_trajectory(cfg.scenario, rng.child("traj"))
-    streams = gen_csi_streams(cfg.scenario, traj, rng.child("streams"))
-    return traj, streams
-
-
 def cmd_simulate(args):
     cfg = load_config(args.config)
     out = _out_dir(args)
-    traj, streams = _simulate(cfg, args.seed)
-    k_raw = cfg.scenario.k_raw
+    traj, station = _simulation(cfg.scenario, args.seed)  # the run build-dataset windows
     with open(out / "frames.csv", "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(
             ["station", "timestamp"]
-            + [c for k in range(k_raw) for c in (f"re{k}", f"im{k}")]
+            + [c for k in range(cfg.scenario.k_raw) for c in (f"re{k}", f"im{k}")]
         )
-        for s in streams:
+        for d in range(cfg.scenario.n_stations):
+            s = station(d)
             for t, v in zip(s.timestamps, s.values):
                 row = [s.station, repr(float(t))]
                 for z in v:
@@ -86,25 +78,13 @@ def cmd_simulate(args):
 def cmd_build_dataset(args):
     cfg = load_config(args.config)
     out = _out_dir(args)
-    traj, streams = _simulate(cfg, args.seed)
-    prov = {"scenario_hash": scenario_hash(cfg.scenario), "seed": args.seed}
-    train, val, test = build_labeled_dataset(
-        streams, traj, cfg.windowing.labeled_spec(), cfg.windowing.split_ratios,
-        provenance=prov,
-    )
-    train_end = float(train.timestamps[-1]) + cfg.windowing.width_s / 2
-    unlabeled = build_unlabeled_dataset(
-        streams, cfg.windowing.unlabeled_spec(), cfg.windowing.label_rate_hz,
-        train_end, provenance=prov,
-    )
-    for name, d in (("train", train), ("val", val), ("test", test), ("unlabeled", unlabeled)):
-        save_dataset(d, out / f"{name}.bin")
+    splits = build_datasets(cfg.scenario, cfg.windowing, args.seed)
+    for d in splits:
+        d.provenance.update(scenario_hash=scenario_hash(cfg.scenario), seed=args.seed)
+        save_dataset(d, out / f"{d.split}.bin")
         if args.export_csv:
-            export_csv(d, out / f"{name}.csv")
-    print(
-        f"wrote datasets to {out}: train={train.n} val={val.n} test={test.n} "
-        f"unlabeled={unlabeled.n}"
-    )
+            export_csv(d, out / f"{d.split}.csv")
+    print(f"wrote datasets to {out}: " + " ".join(f"{d.split}={d.n}" for d in splits))
 
 
 def cmd_pretrain(args):

@@ -4,27 +4,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field, is_dataclass
-from typing import Optional, Tuple, get_type_hints
+from typing import Optional, get_type_hints
 
 import yaml
 
 from .harness import SweepSpec, TrainSettings
-from .pipeline import WindowSpec
+from .pipeline import WindowingConfig
 from .synth import Scenario
-
-
-@dataclass(frozen=True)
-class WindowingConfig:
-    width_s: float = 2.0
-    label_rate_hz: float = 30.0
-    ssl_rate_hz: float = 160.0
-    split_ratios: Tuple[float, float, float] = (7.0, 1.5, 1.5)
-
-    def labeled_spec(self) -> WindowSpec:
-        return WindowSpec(self.width_s, self.label_rate_hz)
-
-    def unlabeled_spec(self) -> WindowSpec:
-        return WindowSpec(self.width_s, self.ssl_rate_hz)
 
 
 @dataclass

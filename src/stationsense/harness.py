@@ -99,6 +99,12 @@ class TrainSettings:
     p_aug: float = 0.5
     naive_variant: str = "office"
 
+    def __post_init__(self):
+        for name, allowed in (("mode", ("frozen", "joint")), ("naive_variant", ("office", "factory")),
+                              ("aug_strategy", ("offline_double", "online"))):
+            if getattr(self, name) not in allowed:
+                raise ValueError(f"unknown {name} {getattr(self, name)!r}, expected one of {allowed}")
+
 
 def desk_settings() -> TrainSettings:
     """Fast desk-scale preset for the synthetic scenario.
@@ -204,8 +210,6 @@ def _naive(r: _MethodRun, rng: RandomStream) -> SensingModel:
         fx = build_extractor(
             r.labeled.n_stations, r.labeled.k, rng.child("init/fx"), **_extractor_shape(s)
         )
-    elif s.naive_variant != "office":
-        raise ValueError(f"unknown naive variant {s.naive_variant}")
     return _train_head(r.labeled, fx, "joint", AugmentConfig(), s.downstream, rng)
 
 

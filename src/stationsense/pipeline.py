@@ -13,11 +13,12 @@ import os
 import struct
 import zlib
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .synth import CsiStream, Scenario, Trajectory
+from .core import RandomStream
+from .synth import CsiStream, Scenario, Trajectory, gen_trajectory, station_stream
 
 DEGENERATE_POWER_FLOOR = 1e-12
 
@@ -39,6 +40,26 @@ class WindowSpec:
     def __post_init__(self):
         if self.width_s <= 0 or self.rate_hz <= 0:
             raise ValueError("window width and rate must be positive")
+
+
+@dataclass(frozen=True)
+class WindowingConfig:
+    width_s: float = 2.0
+    label_rate_hz: float = 30.0
+    ssl_rate_hz: float = 160.0
+    split_ratios: Tuple[float, float, float] = (7.0, 1.5, 1.5)
+
+    def __post_init__(self):
+        if self.ssl_rate_hz <= self.label_rate_hz:
+            raise ValueError(f"SSL rate {self.ssl_rate_hz} Hz must exceed label rate {self.label_rate_hz} Hz")
+        if min(self.split_ratios) < 0 or sum(self.split_ratios) <= 0:
+            raise ValueError(f"split ratios must be >= 0 with a positive sum, got {self.split_ratios}")
+
+    def labeled_spec(self) -> WindowSpec:
+        return WindowSpec(self.width_s, self.label_rate_hz)
+
+    def unlabeled_spec(self) -> WindowSpec:
+        return WindowSpec(self.width_s, self.ssl_rate_hz)
 
 
 def normalize_power(a: np.ndarray) -> Tuple[np.ndarray, bool]:
@@ -166,39 +187,31 @@ def _reference_centers(duration_s: float, spec: WindowSpec) -> np.ndarray:
 
 
 def _aggregate_all(
-    streams: Sequence, centers: np.ndarray, spec: WindowSpec, keep: Optional[Sequence[int]] = None
+    station: Callable[[int], PreprocessedStream], n_d: int, k: int, centers: np.ndarray, spec: WindowSpec
 ) -> Tuple[np.ndarray, np.ndarray]:
     """(n, N_d, K) float32 window means and (n, N_d) missing flags for the
-    windows around `centers`, which may come in any order.
-
-    With `keep`, `streams` are raw CsiStreams: each station is preprocessed
-    inside the station loop and dropped before the next one, so the peak is
-    the outputs plus one station's working set, not N_d preprocessed float64
-    streams. Without it, `streams` are PreprocessedStreams."""
-    n, n_d = len(centers), len(streams)
-    k = streams[0].amps.shape[1] if keep is None else len(keep)
-    x = np.zeros((n, n_d, k), dtype=np.float32)
-    missing = np.zeros((n, n_d), dtype=bool)
-    for d, s in enumerate(streams):
-        ps = s if keep is None else preprocess_stream(s, keep)
+    windows around `centers`, which may come in any order. `station(d)` gives
+    station d's K-column stream; it is called inside the station loop and its
+    result dropped before the next call, so the peak is the outputs plus one
+    station's working set. The outputs come first: made after station 0's
+    freed temporaries, they raised a 16-station run's peak RSS by 4-9 MB."""
+    x = np.zeros((len(centers), n_d, k), dtype=np.float32)
+    missing = np.zeros((len(centers), n_d), dtype=bool)
+    for d in range(n_d):
+        ps = station(d)
         lo, hi = window_bounds(ps.timestamps, centers, spec.width_s)
         missing[:, d] = hi == lo
         _scan_window_means(ps.amps, lo, hi - lo, x[:, d])
-        del ps  # free this station's amplitudes before the next is preprocessed
+        del ps  # free this station's amplitudes before the next is built
     return x, missing
 
 
-def _window_streams(
-    streams: List[CsiStream], end_s: float, spec: WindowSpec, keep: Optional[Sequence[int]]
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Both builders' path: reference centers over [0, end_s], then
-    _aggregate_all over the raw streams. `keep` defaults to the keep list of
-    the streams' raw column count; a stream an outage emptied still has
-    its k_raw columns."""
+def _window_raw(streams: List[CsiStream], centers, spec: WindowSpec, keep: Optional[Sequence[int]]):
+    """_aggregate_all over raw streams. `keep` defaults to the keep list of
+    their raw column count, which a stream an outage emptied keeps."""
     if keep is None:
         keep = default_keep_list(streams[0].values.shape[-1])
-    centers = _reference_centers(end_s, spec)
-    return (centers,) + _aggregate_all(streams, centers, spec, keep)
+    return _aggregate_all(lambda d: preprocess_stream(streams[d], keep), len(streams), len(keep), centers, spec)
 
 
 # distinct window starts scanned together; a block's running sums stay in cache
@@ -259,36 +272,31 @@ def split_counts(n: int, ratios: Tuple[float, float, float]) -> Tuple[int, int, 
     return n_train, n_val, n - n_train - n_val
 
 
+def _labeled_splits(x, missing, centers, traj, split_ratios) -> Tuple[Dataset, Dataset, Dataset]:
+    """Train, val and test: time-contiguous views of the first len(centers)
+    rows of x and missing, labeled from `traj`."""
+    labels = np.asarray(traj.label(centers), dtype=np.float32)
+    n_train, n_val, _ = split_counts(len(centers), split_ratios)
+    cuts = (0, n_train, n_train + n_val, len(centers))
+    return tuple(
+        Dataset(name, x[a:b], missing[a:b], labels[a:b], centers[a:b], {"split_ratios": list(split_ratios)})
+        for name, a, b in zip(("train", "val", "test"), cuts, cuts[1:])
+    )
+
+
 def build_labeled_dataset(
     streams: List[CsiStream],
     traj: Trajectory,
     spec: WindowSpec,
     split_ratios: Tuple[float, float, float] = (7.0, 1.5, 1.5),
     keep: Optional[Sequence[int]] = None,
-    provenance: Optional[dict] = None,
 ) -> Tuple[Dataset, Dataset, Dataset]:
     """Windowed, labeled samples split time-contiguously into train/val/test."""
     if not streams:
         raise ValueError("no streams")
-    centers, x, missing = _window_streams(streams, traj.duration_s, spec, keep)
-    labels = np.asarray(traj.label(centers), dtype=np.float32)
-    prov = dict(provenance or {})
-    prov["split_ratios"] = list(split_ratios)
-    n_train, n_val, n_test = split_counts(len(centers), split_ratios)
-    out = []
-    bounds = [(0, n_train, "train"), (n_train, n_train + n_val, "val"), (n_train + n_val, len(centers), "test")]
-    for a, b, name in bounds:
-        out.append(
-            Dataset(
-                split=name,
-                x=x[a:b],
-                missing=missing[a:b],
-                labels=labels[a:b],
-                timestamps=centers[a:b],
-                provenance=dict(prov),
-            )
-        )
-    return tuple(out)
+    centers = _reference_centers(traj.duration_s, spec)
+    x, missing = _window_raw(streams, centers, spec, keep)
+    return _labeled_splits(x, missing, centers, traj, split_ratios)
 
 
 def build_unlabeled_dataset(
@@ -297,7 +305,6 @@ def build_unlabeled_dataset(
     label_rate_hz: float,
     train_end_s: float,
     keep: Optional[Sequence[int]] = None,
-    provenance: Optional[dict] = None,
 ) -> Dataset:
     """Unlabeled samples at the (higher) SSL rate, restricted to the
     training-time span to avoid leakage into val/test ranges."""
@@ -305,15 +312,38 @@ def build_unlabeled_dataset(
         raise ValueError(
             f"unlabeled rate {spec.rate_hz} Hz must exceed label rate {label_rate_hz} Hz"
         )
-    centers, x, missing = _window_streams(streams, train_end_s, spec, keep)
-    return Dataset(
-        split="unlabeled",
-        x=x,
-        missing=missing,
-        labels=None,
-        timestamps=centers,
-        provenance=dict(provenance or {}),
-    )
+    centers = _reference_centers(train_end_s, spec)
+    x, missing = _window_raw(streams, centers, spec, keep)
+    return Dataset("unlabeled", x, missing, None, centers)
+
+
+def _simulation(scenario: Scenario, seed: int):
+    """Run `seed`'s trajectory and station(d), station d's raw stream: one RNG root per run."""
+    rng = RandomStream(seed, "sim")
+    traj = gen_trajectory(scenario, rng)
+    return traj, lambda d: station_stream(scenario, traj, d, rng)
+
+
+def build_datasets(
+    scenario: Scenario, windowing: WindowingConfig, seed: int
+) -> Tuple[Dataset, Dataset, Dataset, Dataset]:
+    """Train, val, test and unlabeled splits of simulated run `seed`. The
+    unlabeled windows end half a window after the last train center, so both
+    sets of centers are known up front: each station is simulated,
+    preprocessed and windowed once at both, then dropped. A run with no train
+    window raises ValueError before any station is simulated."""
+    spec = windowing.labeled_spec()
+    labeled = _reference_centers(scenario.duration_s, spec)
+    n_train = split_counts(len(labeled), windowing.split_ratios)[0]
+    if n_train == 0:
+        raise ValueError(f"{len(labeled)} labeled windows leave the train split empty")
+    unlabeled = _reference_centers(labeled[n_train - 1] + spec.width_s / 2, windowing.unlabeled_spec())
+    traj, stream = _simulation(scenario, seed)
+    keep, n = default_keep_list(scenario.k_raw), len(labeled)
+    x, missing = _aggregate_all(lambda d: preprocess_stream(stream(d), keep), scenario.n_stations,
+                                len(keep), np.concatenate([labeled, unlabeled]), spec)
+    splits = _labeled_splits(x, missing, labeled, traj, windowing.split_ratios)
+    return splits + (Dataset("unlabeled", x[n:], missing[n:], None, unlabeled),)
 
 
 # ---------------------------------------------------------------------------

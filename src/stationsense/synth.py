@@ -232,29 +232,28 @@ def _outage_intervals(outage: OutageSpec, duration_s: float, rng: RandomStream) 
     return intervals
 
 
-def gen_csi_streams(
-    scenario: Scenario, traj: Trajectory, rng: RandomStream
-) -> List[CsiStream]:
-    """Per station: Poisson frame arrivals thinned by an exponential on/off
-    outage process; frame values are the channel response at the pedestrian's
-    position plus circular complex Gaussian noise.
+def station_stream(scenario: Scenario, traj: Trajectory, d: int, rng: RandomStream) -> CsiStream:
+    """Station d's stream, drawn from rng's child "station{d}": Poisson frame
+    arrivals thinned by an exponential on/off outage process; frame values
+    are the channel response at the pedestrian's position plus circular
+    complex Gaussian noise.
 
-    Each station's values are built and noised in place in the array it
-    returns, so peak memory is the returned streams plus one station's
-    float64 noise draw. A station that an outage empties keeps its k_raw
-    columns: its values have shape (0, k_raw)."""
-    streams = []
-    for d in range(scenario.n_stations):
-        g = rng.child(f"station{d}")
-        t = _poisson_arrivals(scenario.mean_rate_hz, scenario.duration_s, g.child("arrivals"))
-        for start, end in _outage_intervals(scenario.outage, scenario.duration_s, g.child("outage")):
-            t = t[(t < start) | (t > end)]
-        positions = traj.position(t)
-        values = channel_response(positions, d, scenario)
-        if scenario.noise_std > 0:
-            s = scenario.noise_std / math.sqrt(2.0)
-            gn = g.child("noise")
-            values.real += gn.normal(0, s, values.shape)  # real part drawn first
-            values.imag += gn.normal(0, s, values.shape)
-        streams.append(CsiStream(station=d, timestamps=t, values=values))
-    return streams
+    The values are built and noised in place in the array returned, so peak
+    memory is that array plus one float64 noise draw. A station that an
+    outage empties keeps its k_raw columns: its values have shape (0, k_raw)."""
+    g = rng.child(f"station{d}")
+    t = _poisson_arrivals(scenario.mean_rate_hz, scenario.duration_s, g.child("arrivals"))
+    for start, end in _outage_intervals(scenario.outage, scenario.duration_s, g.child("outage")):
+        t = t[(t < start) | (t > end)]
+    values = channel_response(traj.position(t), d, scenario)
+    if scenario.noise_std > 0:
+        s = scenario.noise_std / math.sqrt(2.0)
+        gn = g.child("noise")
+        values.real += gn.normal(0, s, values.shape)  # real part drawn first
+        values.imag += gn.normal(0, s, values.shape)
+    return CsiStream(station=d, timestamps=t, values=values)
+
+
+def gen_csi_streams(scenario: Scenario, traj: Trajectory, rng: RandomStream) -> List[CsiStream]:
+    """Every station's station_stream; the stations' draws are independent."""
+    return [station_stream(scenario, traj, d, rng) for d in range(scenario.n_stations)]

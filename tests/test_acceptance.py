@@ -60,7 +60,6 @@ from stationsense.pipeline import (
     WindowSpec,
     _reference_centers,
     build_labeled_dataset,
-    build_unlabeled_dataset,
     default_keep_list,
     preprocess_stream,
 )
@@ -116,17 +115,7 @@ def _within_budget(num, elapsed):
 
 
 def _build_run(seed):
-    scen = ss.desk_scenario()
-    win = ss.desk_windowing()
-    rng = RandomStream(seed, "sim")
-    traj = ss.gen_trajectory(scen, rng)
-    streams = ss.gen_csi_streams(scen, traj, rng)
-    train, val, test = build_labeled_dataset(streams, traj, win.labeled_spec(), win.split_ratios)
-    train_end = train.timestamps[-1] + win.labeled_spec().width_s / 2
-    unlabeled = build_unlabeled_dataset(
-        streams, win.unlabeled_spec(), win.label_rate_hz, train_end
-    )
-    return train, val, test, unlabeled
+    return ss.build_datasets(ss.desk_scenario(), ss.desk_windowing(), seed)
 
 
 @pytest.fixture(scope="session")

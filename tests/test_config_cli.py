@@ -12,6 +12,7 @@ from stationsense import cli
 from stationsense.cli import main
 from stationsense.config import config_from_dict, config_to_dict
 from stationsense.nnkit import read_bundle
+from stationsense.pipeline import scenario_hash
 
 
 class TestConfig:
@@ -64,6 +65,19 @@ class TestConfig:
         with pytest.raises(TypeError):
             config_from_dict(doc(None))
 
+    @pytest.mark.parametrize(
+        "doc",
+        [{"training": {"mode": "bogus"}}, {"training": {"aug_strategy": "nope"}},
+         {"training": {"naive_variant": "x"}}, {"windowing": {"ssl_rate_hz": 30.0}},
+         {"windowing": {"split_ratios": [0, 0, 0]}}, {"windowing": {"split_ratios": [7, -1, 1.5]}}],
+        ids=["mode", "aug_strategy", "naive_variant", "ssl_rate", "zero_ratios", "negative_ratio"],
+    )
+    def test_bad_values_raise_at_load(self, doc):
+        # a bad string or windowing fails when the YAML loads, not part-way
+        # through a sweep or a dataset build
+        with pytest.raises(ValueError):
+            config_from_dict(doc)
+
     def test_to_dict_yaml_safe(self):
         doc = config_to_dict(ss.RunConfig())
         yaml.safe_dump(doc)  # must not choke on tuples/arrays
@@ -115,6 +129,36 @@ class TestCli:
             d = ss.load_dataset(data_dir / f"{name}.bin")
             assert d.n > 0
             assert (d.labels is None) == (name == "unlabeled")
+
+    def test_build_dataset_is_build_datasets(self, cli_workspace):
+        # build-dataset --seed 0 writes what the Python API builds for seed 0
+        _, cfg_path, data_dir = cli_workspace
+        cfg = ss.load_config(str(cfg_path))
+        prov = {"scenario_hash": scenario_hash(cfg.scenario), "seed": 0}
+        for want in ss.build_datasets(cfg.scenario, cfg.windowing, 0):
+            got = ss.load_dataset(data_dir / f"{want.split}.bin")
+            assert got.split == want.split and got.provenance == prov
+            for name in ("x", "missing", "labels", "timestamps"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert (a is None and b is None) or a.tobytes() == b.tobytes(), (want.split, name)
+
+    def test_simulate_writes_the_frames_build_dataset_windows(self, cli_workspace, tmp_path):
+        _, cfg_path, data_dir = cli_workspace
+        cfg = ss.load_config(str(cfg_path))
+        out = tmp_path / "sim"
+        assert main(["--config", str(cfg_path), "--seed", "0", "--out-dir", str(out), "simulate"]) == 0
+        rows = np.loadtxt(out / "frames.csv", delimiter=",", skiprows=1, ndmin=2)
+        streams = []
+        for d in range(cfg.scenario.n_stations):
+            r = rows[rows[:, 0] == d]
+            values = np.empty((len(r), cfg.scenario.k_raw), complex)
+            values.real, values.imag = r[:, 2::2], r[:, 3::2]
+            streams.append(ss.CsiStream(d, r[:, 1], values))
+        traj = ss.gen_trajectory(cfg.scenario, ss.RandomStream(0, "sim"))
+        train = ss.build_labeled_dataset(streams, traj, cfg.windowing.labeled_spec(), cfg.windowing.split_ratios)[0]
+        want = ss.load_dataset(data_dir / "train.bin")
+        assert train.x.tobytes() == want.x.tobytes()
+        assert train.missing.tobytes() == want.missing.tobytes()
 
     def test_simulate_outputs(self, cli_workspace, tmp_path):
         _, cfg_path, _ = cli_workspace

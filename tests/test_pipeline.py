@@ -114,7 +114,9 @@ def brute_force_window(ps: PreprocessedStream, center, width):
 
 def aggregate_one(ps: PreprocessedStream, centers, width):
     """_aggregate_all on a one-station list: (n, K) means and (n,) flags."""
-    x, missing = _aggregate_all([ps], np.asarray(centers, dtype=float), ss.WindowSpec(width, 1.0))
+    x, missing = _aggregate_all(
+        lambda d: ps, 1, ps.amps.shape[1], np.asarray(centers, dtype=float), ss.WindowSpec(width, 1.0)
+    )
     return x[:, 0], missing[:, 0]
 
 
@@ -188,7 +190,8 @@ class TestScanMatchesLoop:
         streams = _grid_streams(ticks, k, seed, signed)
         c = np.asarray(centers, dtype=float) / 4
         spec = ss.WindowSpec(width, 1.0)
-        return _aggregate_all(streams, c, spec), aggregate_windows_loop(streams, c, spec)
+        return (_aggregate_all(streams.__getitem__, len(streams), k, c, spec),
+                aggregate_windows_loop(streams, c, spec))
 
     @settings(max_examples=300, deadline=None)
     @given(ticks=_TICKS, centers=_CENTERS, width=_WIDTHS, k=st.integers(2, 5), seed=st.integers(0, 2**32 - 1))
@@ -234,12 +237,12 @@ class TestDetectMissing:
         ]
 
     def test_all_observed_empty(self):
-        _, missing = _aggregate_all(self._streams(), np.arange(1.0, 9.0), ss.WindowSpec(2.0, 1.0))
+        _, missing = _aggregate_all(self._streams().__getitem__, 8, 3, np.arange(1.0, 9.0), ss.WindowSpec(2.0, 1.0))
         assert not missing.any()
 
     def test_flags_exactly_missing_stations(self):
         x, missing = _aggregate_all(
-            self._streams(silent=(1, 7)), np.arange(1.0, 9.0), ss.WindowSpec(2.0, 1.0)
+            self._streams(silent=(1, 7)).__getitem__, 8, 3, np.arange(1.0, 9.0), ss.WindowSpec(2.0, 1.0)
         )
         np.testing.assert_array_equal(np.nonzero(missing.all(axis=0))[0], [1, 7])
         assert not missing[:, [0, 2, 3, 4, 5, 6]].any()
@@ -435,6 +438,33 @@ class TestBuildDatasets:
         kept = sum(a.nbytes for d in splits for a in (d.x, d.missing, d.labels, d.timestamps) if a is not None)
         one = max(s.values.nbytes for s in streams)
         assert peak - base < kept + 1.25 * one
+
+    def test_build_datasets_peak_is_outputs_plus_one_station(self):
+        # each station is simulated, preprocessed and windowed at the labeled
+        # and unlabeled centers, then dropped: the peak is the datasets plus
+        # about twice one station's complex values (the values with their
+        # magnitudes and kept amplitudes), not N_d streams. Sizing the
+        # stations first also imports numpy's generators outside the trace.
+        scen = replace(ss.desk_scenario(), duration_s=60.0, n_stations=16, station_positions=None)
+        _, station = pipeline._simulation(scen, 0)
+        one = max(station(d).values.nbytes for d in range(scen.n_stations))
+        tracemalloc.start()
+        try:
+            base, _ = tracemalloc.get_traced_memory()
+            splits = ss.build_datasets(scen, ss.desk_windowing(), 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        kept = sum(a.nbytes for d in splits for a in (d.x, d.missing, d.labels, d.timestamps) if a is not None)
+        assert peak - base < kept + 2.5 * one
+
+    def test_build_datasets_rejects_an_empty_train_split(self, monkeypatch):
+        # 2.5 s of 2 s windows at 1 Hz is one labeled window, which the split
+        # gives to test; the error comes before any station is simulated
+        monkeypatch.setattr(pipeline, "station_stream", lambda *a: pytest.fail("simulated a station"))
+        win = ss.WindowingConfig(label_rate_hz=1.0, ssl_rate_hz=2.0)
+        with pytest.raises(ValueError, match="train split empty"):
+            ss.build_datasets(ss.Scenario(duration_s=2.5), win, 0)
 
     def test_subset_and_sample_views(self, small_datasets):
         train = small_datasets[0]

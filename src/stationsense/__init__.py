@@ -28,7 +28,6 @@ from .pipeline import (
     default_keep_list,
     export_csv,
     load_dataset,
-    normalize_power,
     preprocess_stream,
     save_dataset,
 )

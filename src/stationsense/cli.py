@@ -18,6 +18,7 @@ from .harness import (
     _EXTRACTOR_METHODS,
     MetricsRow,
     _pretrain,
+    _write_dicts_csv,
     eval_at_availability,
     label_ratio_subset,
     pca_export,
@@ -177,16 +178,13 @@ def cmd_pca_export(args):
         for i in range(test.n):
             rows.append(
                 {
-                    "pc1": repr(float(te_proj[i, 0])),
-                    "pc2": repr(float(te_proj[i, 1])),
-                    "label": repr(float(test.labels[i])) if test.labeled else "",
+                    "pc1": float(te_proj[i, 0]),
+                    "pc2": float(te_proj[i, 1]),
+                    "label": float(test.labels[i]) if test.labeled else "",
                     "availability": k,
                 }
             )
-    with open(args.out, "w", newline="") as f:
-        w = csv.DictWriter(f, fieldnames=["pc1", "pc2", "label", "availability"])
-        w.writeheader()
-        w.writerows(rows)
+    _write_dicts_csv(rows, ["pc1", "pc2", "label", "availability"], args.out)
     print(f"wrote {len(rows)} projected points to {args.out}")
 
 

@@ -107,15 +107,13 @@ class FeatureExtractor:
         input_dim: int,
         aggregator: MlpStack,
         encoders: Optional[MlpStack] = None,
-        encoder_dim: Optional[int] = None,
-        embedding_dim: Optional[int] = None,
     ):
         self.n_stations = n_stations
         self.input_dim = input_dim
         self.encoders = encoders
         self.aggregator = aggregator
-        self.encoder_dim = encoder_dim if encoder_dim is not None else input_dim
-        self.embedding_dim = embedding_dim
+        self.encoder_dim = input_dim if encoders is None else encoders.n_out
+        self.embedding_dim = aggregator.n_out
 
     @property
     def identity_encoders(self) -> bool:
@@ -172,8 +170,6 @@ class FeatureExtractor:
             self.input_dim,
             self.aggregator.cast(dtype),
             None if self.encoders is None else self.encoders.cast(dtype),
-            self.encoder_dim,
-            self.embedding_dim,
         )
 
 
@@ -191,21 +187,19 @@ def build_extractor(
     built station by station (station d from `rng.child(f"enc{d}")`) and
     grouped into one MlpStack."""
     encoders = None
-    enc_dim = input_dim
     if encoder_widths:
-        enc_dim = encoder_widths[-1]
         encoders = MlpStack.group([
             mlp_blocks(f"enc{d}", input_dim, list(encoder_widths), rng.child(f"enc{d}"), dropout_rate)
             for d in range(n_stations)
         ])
     aggregator = mlp_blocks(
         "agg",
-        n_stations * enc_dim,
+        n_stations * (input_dim if encoders is None else encoders.n_out),
         list(aggregator_hidden) + [embedding_dim],
         rng.child("agg"),
         dropout_rate,
     )
-    return FeatureExtractor(n_stations, input_dim, aggregator, encoders, enc_dim, embedding_dim)
+    return FeatureExtractor(n_stations, input_dim, aggregator, encoders)
 
 
 def pretrain(

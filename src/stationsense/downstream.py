@@ -372,10 +372,8 @@ def _extractor_from_manifest(m: dict) -> FeatureExtractor:
     encoders = None
     if m["encoders"] is not None:
         encoders = MlpStack.group([MlpStack.from_manifest(e) for e in m["encoders"]])
-    return FeatureExtractor(
-        m["n_stations"], m["input_dim"], MlpStack.from_manifest(m["aggregator"]), encoders,
-        m["encoder_dim"], m["embedding_dim"],
-    )
+    aggregator = MlpStack.from_manifest(m["aggregator"])
+    return FeatureExtractor(m["n_stations"], m["input_dim"], aggregator, encoders)
 
 
 def _named_arrays(prefix: str, part) -> Dict[str, np.ndarray]:

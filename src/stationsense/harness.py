@@ -9,7 +9,7 @@ import hashlib
 import itertools
 import math
 import time
-from dataclasses import astuple, dataclass, field, replace
+from dataclasses import asdict, astuple, dataclass, field, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -100,10 +100,14 @@ class TrainSettings:
     naive_variant: str = "office"
 
     def __post_init__(self):
-        for name, allowed in (("mode", ("frozen", "joint")), ("naive_variant", ("office", "factory")),
-                              ("aug_strategy", ("offline_double", "online"))):
+        for name, allowed in (("mode", ("frozen", "joint")), ("naive_variant", ("office", "factory"))):
             if getattr(self, name) not in allowed:
                 raise ValueError(f"unknown {name} {getattr(self, name)!r}, expected one of {allowed}")
+        if not 0.0 <= self.p_mask_crossl <= 1.0:
+            raise ValueError(f"p_mask_crossl must be in [0, 1], got {self.p_mask_crossl}")
+        # the objects training builds from these values check them at load
+        AugmentConfig(kind="sma", p_mask=self.p_mask_sma, p_aug=self.p_aug, strategy=self.aug_strategy)
+        replace(self.pretrain, learning_rate=self.dae_lr)
 
 
 def desk_settings() -> TrainSettings:
@@ -374,62 +378,50 @@ def run_grid(
     rows: List[MetricsRow] = []
     failures: List[dict] = []
     extractor_cache: dict = {}
-    for method in methods:
-        for ratio in spec.label_ratios:
-            for seed in spec.seeds:
-                sub = label_ratio_subset(
-                    train, ratio, RandomStream(seed, f"label_subset/{ratio}")
+    for method, ratio, seed in itertools.product(methods, spec.label_ratios, spec.seeds):
+        cell = {"method": method, "ratio": ratio, "seed": seed}
+        sub = label_ratio_subset(
+            train, ratio, RandomStream(seed, f"label_subset/{ratio}")
+        )
+        t0 = time.perf_counter()
+        try:
+            model = train_method(
+                method, sub, unlabeled, settings, seed, extractor_cache
+            )
+        except Exception as exc:  # noqa: BLE001 - grid must continue
+            failures.append({**cell, "error": repr(exc)})
+            continue
+        train_time = time.perf_counter() - t0
+        for k in spec.available_station_counts:
+            t1 = time.perf_counter()
+            try:
+                value = eval_at_availability(
+                    model,
+                    test,
+                    k,
+                    spec.combination_policy,
+                    spec.n_draws,
+                    RandomStream(seed, f"mc/{method}/{ratio}/{k}"),
                 )
-                t0 = time.perf_counter()
-                try:
-                    model = train_method(
-                        method, sub, unlabeled, settings, seed, extractor_cache
-                    )
-                except Exception as exc:  # noqa: BLE001 - grid must continue
-                    failures.append(
-                        {"method": method, "ratio": ratio, "seed": seed, "error": repr(exc)}
-                    )
-                    continue
-                train_time = time.perf_counter() - t0
-                for k in spec.available_station_counts:
-                    t1 = time.perf_counter()
-                    try:
-                        value = eval_at_availability(
-                            model,
-                            test,
-                            k,
-                            spec.combination_policy,
-                            spec.n_draws,
-                            RandomStream(seed, f"mc/{method}/{ratio}/{k}"),
-                        )
-                    except Exception as exc:  # noqa: BLE001
-                        failures.append(
-                            {
-                                "method": method,
-                                "ratio": ratio,
-                                "seed": seed,
-                                "k": k,
-                                "error": repr(exc),
-                            }
-                        )
-                        continue
-                    rows.append(
-                        MetricsRow(
-                            method=method,
-                            k_available=k,
-                            label_ratio=ratio,
-                            seed=seed,
-                            rmse=value,
-                            runtime_s=train_time + (time.perf_counter() - t1),
-                        )
-                    )
+            except Exception as exc:  # noqa: BLE001
+                failures.append({**cell, "k": k, "error": repr(exc)})
+                continue
+            rows.append(
+                MetricsRow(
+                    method=method,
+                    k_available=k,
+                    label_ratio=ratio,
+                    seed=seed,
+                    rmse=value,
+                    runtime_s=train_time + (time.perf_counter() - t1),
+                )
+            )
     if out_dir is not None:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         write_metrics_csv(rows, out_dir / "metrics.csv")
         write_summary_csv(rows, out_dir / "summary.csv")
-        if failures:
-            _write_dicts_csv(failures, out_dir / "errors.csv")
+        _write_dicts_csv(failures, _ERROR_COLUMNS, out_dir / "errors.csv")
     return rows, failures
 
 
@@ -451,26 +443,22 @@ def run_masking_heatmap(
     cells = []
     if extractor_cache is None:
         extractor_cache = {}
-    for p_cro in p_grid:
-        for p_sma in p_grid:
-            per_seed = {k: [] for k in ks}
-            for seed in seeds:
-                cell = replace(settings, p_mask_crossl=p_cro, p_mask_sma=p_sma)
-                model = train_method("proposed", train, unlabeled, cell, seed, extractor_cache)
-                for k in ks:
-                    per_seed[k].append(eval_at_availability(model, test, k))
-            for k in ks:
-                cells.append(
-                    {
-                        "p_mask_crossl": p_cro,
-                        "p_mask_sma": p_sma,
-                        "k_available": k,
-                        "rmse_mean": float(np.mean(per_seed[k])),
-                        "rmse_std": float(np.std(per_seed[k])),
-                    }
-                )
+    for p_cro, p_sma in itertools.product(p_grid, p_grid):
+        cell = replace(settings, p_mask_crossl=p_cro, p_mask_sma=p_sma)
+        models = [train_method("proposed", train, unlabeled, cell, s, extractor_cache) for s in seeds]
+        for k in ks:
+            values = [eval_at_availability(model, test, k) for model in models]
+            cells.append(
+                {
+                    "p_mask_crossl": p_cro,
+                    "p_mask_sma": p_sma,
+                    "k_available": k,
+                    "rmse_mean": float(np.mean(values)),
+                    "rmse_std": float(np.std(values)),
+                }
+            )
     if out_path is not None:
-        _write_dicts_csv(cells, out_path)
+        _write_dicts_csv(cells, _HEATMAP_COLUMNS, out_path)
     return cells
 
 
@@ -501,16 +489,13 @@ def pca_export(
 # ---------------------------------------------------------------------------
 
 METRICS_COLUMNS = ["method", "k_available", "label_ratio", "seed", "rmse", "runtime_s"]
+_SUMMARY_COLUMNS = ["method", "k_available", "label_ratio", "rmse_mean", "rmse_std", "n_seeds"]
+_ERROR_COLUMNS = ["method", "ratio", "seed", "k", "error"]  # k blank for a training failure
+_HEATMAP_COLUMNS = ["p_mask_crossl", "p_mask_sma", "k_available", "rmse_mean", "rmse_std"]
 
 
 def write_metrics_csv(rows: List[MetricsRow], path) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(METRICS_COLUMNS)
-        for r in rows:
-            w.writerow(
-                [r.method, r.k_available, repr(r.label_ratio), r.seed, repr(r.rmse), f"{r.runtime_s:.3f}"]
-            )
+    _write_dicts_csv([asdict(r) for r in rows], METRICS_COLUMNS, path)
 
 
 def summarize(rows: List[MetricsRow]) -> List[dict]:
@@ -533,15 +518,14 @@ def summarize(rows: List[MetricsRow]) -> List[dict]:
 
 
 def write_summary_csv(rows: List[MetricsRow], path) -> None:
-    _write_dicts_csv(summarize(rows), path)
+    _write_dicts_csv(summarize(rows), _SUMMARY_COLUMNS, path)
 
 
-def _write_dicts_csv(records: List[dict], path) -> None:
-    if not records:
-        return
-    cols = list(records[0].keys())
+def _write_dicts_csv(records: List[dict], columns: Sequence[str], path) -> None:
+    """The one table writer: the declared header, even for no records, then
+    a row per record, floats as repr and a column the record lacks blank."""
     with open(path, "w", newline="") as f:
-        w = csv.DictWriter(f, fieldnames=cols)
+        w = csv.DictWriter(f, fieldnames=columns)
         w.writeheader()
         for r in records:
             w.writerow({c: (repr(v) if isinstance(v, float) else v) for c, v in r.items()})

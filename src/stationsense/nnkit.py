@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import copy
 import json
+import os
 import struct
 import zlib
 from dataclasses import dataclass, field
@@ -300,6 +301,14 @@ class MlpStack:
     def buffers(self) -> Dict[str, np.ndarray]:
         return self._named("buffers")
 
+    @property
+    def n_out(self) -> int:
+        """Output width: the last dense layer's."""
+        for layer in reversed(self.layers):
+            if layer.kind == "dense":
+                return layer.n_out
+        raise ValueError("a stack without a dense layer has no output width")
+
     def cast(self, dtype) -> "MlpStack":
         """Deep copy with parameters/buffers cast to dtype (for grad checks)."""
         if self.members is not None:
@@ -548,11 +557,12 @@ def _check_crc(raw: bytes) -> None:
 
 
 def read_bundle(path) -> Tuple[dict, Dict[str, np.ndarray]]:
-    """Manifest and arrays of a bundle. The file's length is checked against
-    the size its header and array table imply before the CRC, so a cut file
-    reports truncation, not a checksum failure."""
+    """Manifest and arrays of a bundle, the arrays views of one buffer that holds
+    the file. Its length is checked against the size the header and array table
+    imply before the CRC, so a cut file reports truncation, not a checksum failure."""
     with open(path, "rb") as f:
-        raw = f.read()
+        raw = bytearray(os.fstat(f.fileno()).st_size)
+        f.readinto(raw)
     if len(raw) < 16 or raw[:4] != _CK_MAGIC:
         raise CheckpointError("not a checkpoint file")
     version, doc_len = struct.unpack("<II", raw[4:12])
@@ -573,7 +583,7 @@ def read_bundle(path) -> Tuple[dict, Dict[str, np.ndarray]]:
         arrays, off = {}, 12 + doc_len
         for name, shape in table:
             count = int(np.prod(shape))
-            arrays[name] = np.frombuffer(raw, "<f4", count, off).reshape(shape).copy()
+            arrays[name] = np.frombuffer(raw, "<f4", count, off).reshape(shape)
             off += count * 4
     except (ValueError, KeyError, TypeError) as exc:
         _check_crc(raw)  # a corrupt header is a checksum failure; an intact one is malformed

@@ -62,36 +62,22 @@ class WindowingConfig:
         return WindowSpec(self.width_s, self.ssl_rate_hz)
 
 
-def normalize_power(a: np.ndarray) -> Tuple[np.ndarray, bool]:
-    """Scale so mean squared amplitude is 1. Returns (vector, degenerate).
-
-    Near-zero-power input yields the all-zero vector with degenerate=True
-    instead of dividing by ~0. `a` itself is never modified.
-    """
-    out = np.array(a, dtype=float)[None, :]
-    return out[0], _normalize_rows(out) == 1
-
-
-def _normalize_rows(amps: np.ndarray) -> int:
+def _normalize_rows(amps: np.ndarray) -> None:
     """Scale each row of an (n, K) float64 amplitude matrix to unit mean
-    power, in place; rows below the power floor become zero. Returns the
-    degenerate row count."""
+    power, in place; rows below the power floor become zero."""
     mean_power = np.mean(amps**2, axis=1)
     degenerate = mean_power < DEGENERATE_POWER_FLOOR
     scale = np.where(degenerate, 1.0, np.sqrt(mean_power))
     amps /= scale[:, None]
     amps[degenerate] = 0.0
-    return int(degenerate.sum())
 
 
 @dataclass(frozen=True)
 class PreprocessedStream:
     """Selected + normalized amplitude time series for one station."""
 
-    station: int
     timestamps: np.ndarray  # strictly increasing
     amps: np.ndarray  # (n_frames, K)
-    n_degenerate: int = 0
 
 
 def preprocess_stream(stream: CsiStream, keep: Sequence[int]) -> PreprocessedStream:
@@ -103,13 +89,13 @@ def preprocess_stream(stream: CsiStream, keep: Sequence[int]) -> PreprocessedStr
     if keep.min() < 0 or keep.max() >= k_raw:
         raise IndexError(f"keep indices out of range for k_raw={k_raw}")
     if len(stream) == 0:
-        return PreprocessedStream(stream.station, stream.timestamps, np.zeros((0, len(keep))))
+        return PreprocessedStream(stream.timestamps, np.zeros((0, len(keep))))
     # magnitudes first, then the selection: no complex copy of the kept columns
     amps = np.abs(stream.values)[:, keep]
-    n_deg = _normalize_rows(amps)
+    _normalize_rows(amps)
     # the column selection is column-major; the row-mean above sums in that
     # order, and the window scan reads whole rows, so copy only afterwards
-    return PreprocessedStream(stream.station, stream.timestamps, np.ascontiguousarray(amps), n_deg)
+    return PreprocessedStream(stream.timestamps, np.ascontiguousarray(amps))
 
 
 def window_bounds(timestamps: np.ndarray, centers: np.ndarray, width_s: float):
@@ -388,6 +374,8 @@ def save_dataset(d: Dataset, path) -> None:
     flags, optional label per sample), timestamps, trailing CRC32. Records
     are encoded _IO_CHUNK_BYTES at a time, so the file is never held in
     memory."""
+    if d.split not in _SPLIT_CODES:
+        raise ValueError(f"cannot store split {d.split!r}, expected one of {tuple(_SPLIT_CODES)}")
     shash = bytes.fromhex(d.provenance.get("scenario_hash", "0" * 32))
     seed = int(d.provenance.get("seed", 0))
     header = _MAGIC + _HEADER.pack(
@@ -396,7 +384,7 @@ def save_dataset(d: Dataset, path) -> None:
         d.k,
         d.n,
         1 if d.labeled else 0,
-        _SPLIT_CODES.get(d.split, 3),
+        _SPLIT_CODES[d.split],
         shash,
         seed,
     )
@@ -428,6 +416,8 @@ def load_dataset(path) -> Dataset:
         version, n_d, k, n, labeled, split_code, shash, seed = _HEADER.unpack_from(header, 4)
         if version != _FORMAT_VERSION:
             raise DatasetFormatError(f"unsupported format version {version}")
+        if split_code not in _SPLIT_NAMES:
+            raise DatasetFormatError(f"unknown split code {split_code}")
         rec = _record_dtype(n_d, k, bool(labeled))
         payload, expected = size - head - 4, n * rec.itemsize + n * 8
         if payload != expected:
@@ -454,7 +444,7 @@ def load_dataset(path) -> Dataset:
     if crc != crc_stored:
         raise DatasetFormatError("checksum failure")
     return Dataset(
-        split=_SPLIT_NAMES.get(split_code, "unlabeled"),
+        split=_SPLIT_NAMES[split_code],
         x=x,
         missing=missing,
         labels=labels,

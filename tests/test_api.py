@@ -16,7 +16,7 @@ PUBLIC_NAMES = [
     "build_labeled_dataset", "build_unlabeled_dataset", "channel_response",
     "default_keep_list", "desk_scenario", "desk_settings", "desk_windowing", "dump_config",
     "eval_at_availability", "export_csv", "finite_diff_check", "gen_csi_streams", "gen_trajectory",
-    "label_ratio_subset", "load_checkpoint", "load_config", "load_dataset", "normalize_power",
+    "label_ratio_subset", "load_checkpoint", "load_config", "load_dataset",
     "pca_export", "preprocess_stream", "pretrain", "rmse", "run_grid", "run_masking_heatmap",
     "sample_mask_matrix", "save_checkpoint", "save_dataset", "train_dae", "train_downstream",
     "train_ensemble", "train_method", "vicreg_loss_grads",
@@ -49,7 +49,7 @@ def test_public_names_are_pinned():
         if not n.startswith("_") and not isinstance(getattr(ss, n), types.ModuleType)
     )
     assert names == PUBLIC_NAMES
-    assert len(names) == 64
+    assert len(names) == 63
 
 
 def test_yaml_leaves_are_pinned():

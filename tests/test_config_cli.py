@@ -69,12 +69,15 @@ class TestConfig:
         "doc",
         [{"training": {"mode": "bogus"}}, {"training": {"aug_strategy": "nope"}},
          {"training": {"naive_variant": "x"}}, {"windowing": {"ssl_rate_hz": 30.0}},
-         {"windowing": {"split_ratios": [0, 0, 0]}}, {"windowing": {"split_ratios": [7, -1, 1.5]}}],
-        ids=["mode", "aug_strategy", "naive_variant", "ssl_rate", "zero_ratios", "negative_ratio"],
+         {"windowing": {"split_ratios": [0, 0, 0]}}, {"windowing": {"split_ratios": [7, -1, 1.5]}},
+         {"training": {"p_mask_sma": 1.5}}, {"training": {"p_mask_crossl": -0.2}},
+         {"training": {"p_aug": 2.0}}, {"training": {"dae_lr": -1}}],
+        ids=["mode", "aug_strategy", "naive_variant", "ssl_rate", "zero_ratios", "negative_ratio",
+             "p_mask_sma", "p_mask_crossl", "p_aug", "dae_lr"],
     )
     def test_bad_values_raise_at_load(self, doc):
-        # a bad string or windowing fails when the YAML loads, not part-way
-        # through a sweep or a dataset build
+        # a bad string, rate or windowing fails when the YAML loads, not
+        # part-way through a sweep or a dataset build
         with pytest.raises(ValueError):
             config_from_dict(doc)
 

@@ -11,7 +11,7 @@ from stationsense.crossl import (
     vicreg_invariance_grad,
     vicreg_variance_grad,
 )
-from stationsense.nnkit import Dense, MlpStack
+from stationsense.nnkit import Dense, MlpStack, mlp_blocks
 
 from oracles import encode_backward_loop, encode_loop, station_stacks
 
@@ -230,9 +230,25 @@ class TestFeatureExtractor:
 
     def test_zero_input_linear_aggregator_zero_output(self):
         agg = MlpStack([Dense("agg.lin", 4 * 6, 5, ss.RandomStream(0, "a"))])
-        fx = ss.FeatureExtractor(4, 6, agg, None, 6, 5)
+        fx = ss.FeatureExtractor(4, 6, agg)
         out = fx.embed(np.zeros((2, 4, 6), dtype=np.float32))
         np.testing.assert_array_equal(out, 0.0)
+
+    def test_hand_built_extractor_derives_its_widths_and_trains_a_head(self, small_datasets):
+        train, _, test, _ = small_datasets
+        n_d, k = train.n_stations, train.k
+        rng = ss.RandomStream(0, "hand")
+        agg = mlp_blocks("agg", n_d * k, [12, 7], rng.child("agg"))
+        identity = ss.FeatureExtractor(n_d, k, agg)
+        assert (identity.encoder_dim, identity.embedding_dim) == (k, 7)
+        encoders = MlpStack.group(
+            [mlp_blocks(f"enc{d}", k, [5], rng.child(f"enc{d}")) for d in range(n_d)]
+        )
+        fx = ss.FeatureExtractor(n_d, k, mlp_blocks("agg", n_d * 5, [6], rng.child("agg2")), encoders)
+        assert (fx.encoder_dim, fx.embedding_dim) == (5, 6)
+        settings = ss.TrainSettings(downstream=ss.TrainConfig(1e-3, 128, 3, 2))
+        model = ss.train_method("crossl", train, None, settings, 0, extractor=fx)
+        assert model.predict(test.x).shape == (test.n,)
 
     def test_station_order_sensitivity(self):
         fx = self._fx()

@@ -228,6 +228,37 @@ class TestRunGrid:
         assert (tmp_path / "summary.csv").exists()
         assert (tmp_path / "errors.csv").exists()
 
+    def test_training_and_evaluation_failures_both_reach_errors_csv(self, small_datasets, tmp_path):
+        # proposed fails to train (no unlabeled data) before constant fails to
+        # evaluate (k above the station count): two shapes of failure, one table
+        train, _, test, _ = small_datasets
+        spec = SweepSpec(available_station_counts=(1, 9), label_ratios=(1.0,), seeds=(0,))
+        rows, failures = run_grid(spec, ["proposed", "constant"], train, test, None,
+                                  ss.TrainSettings(), tmp_path)
+        assert [(r.method, r.k_available) for r in rows] == [("constant", 1)]
+        assert [(f["method"], f.get("k")) for f in failures] == [("proposed", None), ("constant", 9)]
+        with open(tmp_path / "errors.csv") as f:
+            reader = csv.DictReader(f)
+            records = list(reader)
+        assert reader.fieldnames == ["method", "ratio", "seed", "k", "error"]
+        assert [(r["method"], r["ratio"], r["seed"], r["k"]) for r in records] == [
+            ("proposed", "1.0", "0", ""), ("constant", "1.0", "0", "9")
+        ]
+        assert "requires unlabeled data" in records[0]["error"]
+
+    def test_clean_rerun_leaves_no_stale_errors(self, small_datasets, tmp_path):
+        train, _, test, _ = small_datasets
+        spec = SweepSpec(available_station_counts=(8,), label_ratios=(1.0,), seeds=(0,))
+        _, failures = run_grid(spec, ["proposed"], train, test, None, ss.TrainSettings(), tmp_path)
+        assert len(failures) == 1
+        # no rows: the summary is written header-only
+        assert (tmp_path / "summary.csv").read_text().splitlines() == [
+            "method,k_available,label_ratio,rmse_mean,rmse_std,n_seeds"
+        ]
+        rows, failures = run_grid(spec, ["constant"], train, test, None, ss.TrainSettings(), tmp_path)
+        assert len(rows) == 1 and not failures
+        assert (tmp_path / "errors.csv").read_text().splitlines() == ["method,ratio,seed,k,error"]
+
     def test_one_method_three_seeds_three_rows(self, small_datasets, tmp_path):
         train, _, test, _ = small_datasets
         spec = SweepSpec(available_station_counts=(8,), label_ratios=(1.0,), seeds=(0, 1, 2))

@@ -476,6 +476,24 @@ class TestCheckpoints:
         with pytest.raises(ss.CheckpointError, match="size"):
             read_bundle(p)
 
+    def test_read_bundle_holds_the_file_once(self, tmp_path):
+        import tracemalloc
+
+        p = tmp_path / "big.ck"
+        gen = np.random.default_rng(0)
+        write_bundle(p, {}, {f"a{i}": gen.random((512, 1024), np.float32) for i in range(4)})
+        size = p.stat().st_size
+        tracemalloc.start()
+        try:
+            _, arrays = read_bundle(p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sum(a.nbytes for a in arrays.values()) > 0.99 * size
+        # the 8 MB file is read into one buffer; copying each array out of
+        # it would double the peak
+        assert peak <= 1.1 * size
+
     def test_bundle_manifest_round_trip(self, tmp_path):
         p = tmp_path / "b.ck"
         arrays = {"a": np.arange(6, dtype=np.float32).reshape(2, 3)}

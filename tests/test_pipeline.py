@@ -60,24 +60,30 @@ class TestSelectSubcarriers:
                 ss.preprocess_stream(stream, keep)
 
 
+def _one_frame(v):
+    """preprocess_stream's row for a one-frame stream whose values are v."""
+    values = np.asarray(v)[None, :]
+    return ss.preprocess_stream(CsiStream(0, np.array([0.0]), values), range(values.shape[1])).amps[0]
+
+
 class TestNormalizePower:
     def test_hand_example(self):
         # [3, 4]: mean power 12.5, scale sqrt(12.5)
-        out, degenerate = ss.normalize_power(np.array([3.0, 4.0]))
-        assert not degenerate
+        out = _one_frame(np.array([3.0, 4.0]))
+        assert out.any()
         np.testing.assert_allclose(out, np.array([3.0, 4.0]) / np.sqrt(12.5), rtol=1e-15)
 
     def test_unit_mean_power(self):
         gen = np.random.default_rng(0)
         for _ in range(20):
             v = gen.random(52) * gen.uniform(1e-3, 1e3)
-            out, degenerate = ss.normalize_power(v)
-            assert not degenerate
+            out = _one_frame(v)
+            assert out.any()
             assert abs(np.mean(out**2) - 1.0) < 1e-9
 
     def test_degenerate_zero_vector(self):
-        out, degenerate = ss.normalize_power(np.zeros(52))
-        assert degenerate
+        # a degenerate frame comes back as an all-zero row
+        out = _one_frame(np.zeros(52))
         np.testing.assert_array_equal(out, 0.0)
 
     @settings(max_examples=100, deadline=None)
@@ -85,16 +91,16 @@ class TestNormalizePower:
     def test_scale_invariance(self, seed):
         gen = np.random.default_rng(seed)
         v = gen.random(16) + 0.01
-        a, _ = ss.normalize_power(v)
-        b, _ = ss.normalize_power(v * 37.5)
+        a = _one_frame(v)
+        b = _one_frame(v * 37.5)
         np.testing.assert_allclose(a, b, rtol=1e-12)
 
     def test_input_left_unmodified(self):
-        # rows are normalised in place, but only in a copy normalize_power owns
+        # rows are normalised in place, but only in an array preprocess_stream owns
         gen = np.random.default_rng(1)
         for v in (gen.random(52) * 3.0, np.zeros(8), gen.random((4, 16))[1]):
             before = v.copy()
-            out, _ = ss.normalize_power(v)
+            out = _one_frame(v)
             np.testing.assert_array_equal(v, before)
             assert not np.shares_memory(out, v)
 
@@ -138,12 +144,12 @@ class TestAggregateWindow:
         # frames exactly at center +- width/2 belong to the window
         ts = np.array([0.0, 1.0, 2.0])
         amps = np.array([[1.0], [2.0], [4.0]])
-        x, missing = aggregate_one(PreprocessedStream(0, ts, amps), [1.0], 2.0)
+        x, missing = aggregate_one(PreprocessedStream(ts, amps), [1.0], 2.0)
         assert not missing[0]
         np.testing.assert_allclose(x[0], [(1.0 + 2.0 + 4.0) / 3])
 
     def test_empty_window_is_missing_placeholder(self):
-        ps = PreprocessedStream(0, np.array([0.0]), np.array([[1.0, 2.0]]))
+        ps = PreprocessedStream(np.array([0.0]), np.array([[1.0, 2.0]]))
         x, missing = aggregate_one(ps, [10.0], 2.0)
         assert missing[0]
         np.testing.assert_array_equal(x[0], np.zeros(2))
@@ -171,7 +177,7 @@ def _grid_streams(ticks, k, seed, signed):
             amps += 2.0**40 * gen.choice([-1.0, 0.0, 1.0], amps.shape, p=[0.15, 0.7, 0.15])
         else:
             amps *= 10.0 ** gen.uniform(-3, 3, (len(t), 1))
-        streams.append(PreprocessedStream(d, np.sort(np.asarray(t, dtype=float)) / 4, amps))
+        streams.append(PreprocessedStream(np.sort(np.asarray(t, dtype=float)) / 4, amps))
     return streams
 
 
@@ -232,7 +238,7 @@ class TestDetectMissing:
         ts = np.arange(0.0, 10.0, 0.1)
         amps = np.ones((len(ts), 3))
         return [
-            PreprocessedStream(d, ts[:0] if d in silent else ts, amps[:0] if d in silent else amps)
+            PreprocessedStream(ts[:0] if d in silent else ts, amps[:0] if d in silent else amps)
             for d in range(8)
         ]
 
@@ -608,6 +614,24 @@ class TestDatasetSerialization:
         struct.pack_into("<I", raw, len(raw) - 4, zlib.crc32(bytes(raw[:-4])))
         p.write_bytes(bytes(raw))
         with pytest.raises(DatasetFormatError, match="size"):
+            ss.load_dataset(p)
+
+    def test_unknown_split_rejected(self, small_datasets, tmp_path):
+        import struct
+        import zlib
+
+        p = tmp_path / "d.bin"
+        holdout = replace(small_datasets[0], split="holdout")
+        with pytest.raises(ValueError, match="holdout"):
+            ss.save_dataset(holdout, p)
+        assert not p.exists()
+        ss.save_dataset(small_datasets[0], p)
+        raw = bytearray(p.read_bytes())
+        # a split code no name maps to, with the checksum re-sealed
+        struct.pack_into("<B", raw, 25, 7)
+        struct.pack_into("<I", raw, len(raw) - 4, zlib.crc32(bytes(raw[:-4])))
+        p.write_bytes(bytes(raw))
+        with pytest.raises(DatasetFormatError, match="split"):
             ss.load_dataset(p)
 
     def test_export_csv_row_count(self, small_datasets, tmp_path):

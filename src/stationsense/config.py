@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field, is_dataclass
-from typing import Optional, get_type_hints
+from typing import Optional, get_args, get_type_hints
 
 import yaml
 
@@ -33,14 +33,20 @@ def desk_windowing() -> WindowingConfig:
 def _from_yaml(value, hint):
     """`value` read as type `hint`: a mapping builds the dataclass `hint`
     names, field by field by its type hints, and every list becomes a tuple.
-    An unknown key or a missing (null) mapping raises TypeError."""
+    An integer read as a float, or as an element of a tuple of floats,
+    becomes a float, so `1` and `1.0` load alike; a bool stays a bool. An
+    unknown key or a missing (null) mapping raises TypeError."""
     if is_dataclass(hint):
         if not isinstance(value, dict):
             raise TypeError(f"{hint.__name__} needs a mapping, got {value!r}")
         hints = get_type_hints(hint)
         return hint(**{k: _from_yaml(v, hints.get(k)) for k, v in value.items()})
     if isinstance(value, list):
-        return tuple(_from_yaml(v, None) for v in value)
+        elements = set(get_args(hint)) - {Ellipsis}
+        element = elements.pop() if len(elements) == 1 else None
+        return tuple(_from_yaml(v, element) for v in value)
+    if hint is float and isinstance(value, int) and not isinstance(value, bool):
+        return float(value)
     return value
 
 

@@ -12,6 +12,7 @@ import json
 import os
 import struct
 import zlib
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -316,8 +317,11 @@ def build_datasets(
     """Train, val, test and unlabeled splits of simulated run `seed`. The
     unlabeled windows end half a window after the last train center, so both
     sets of centers are known up front: each station is simulated,
-    preprocessed and windowed once at both, then dropped. A run with no train
-    window raises ValueError before any station is simulated."""
+    preprocessed and windowed once at both, then dropped. Station d + 1 is
+    simulated on one worker thread while station d is windowed, once d's raw
+    stream has been preprocessed and dropped, so at most one raw stream is
+    held. A run with no train window raises ValueError before any station is
+    simulated."""
     spec = windowing.labeled_spec()
     labeled = _reference_centers(scenario.duration_s, spec)
     n_train = split_counts(len(labeled), windowing.split_ratios)[0]
@@ -326,8 +330,17 @@ def build_datasets(
     unlabeled = _reference_centers(labeled[n_train - 1] + spec.width_s / 2, windowing.unlabeled_spec())
     traj, stream = _simulation(scenario, seed)
     keep, n = default_keep_list(scenario.k_raw), len(labeled)
-    x, missing = _aggregate_all(lambda d: preprocess_stream(stream(d), keep), scenario.n_stations,
-                                len(keep), np.concatenate([labeled, unlabeled]), spec)
+    with ThreadPoolExecutor(1) as worker:
+        raw = worker.submit(stream, 0)
+
+        def station(d):
+            nonlocal raw
+            ps = preprocess_stream(raw.result(), keep)
+            raw = worker.submit(stream, d + 1) if d + 1 < scenario.n_stations else None
+            return ps
+
+        x, missing = _aggregate_all(station, scenario.n_stations, len(keep),
+                                    np.concatenate([labeled, unlabeled]), spec)
     splits = _labeled_splits(x, missing, labeled, traj, windowing.split_ratios)
     return splits + (Dataset("unlabeled", x[n:], missing[n:], None, unlabeled),)
 

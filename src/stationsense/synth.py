@@ -11,6 +11,7 @@ ever sees (station, timestamp, channel vector) triples.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import List, Tuple
 
@@ -19,6 +20,7 @@ import numpy as np
 from .core import RandomStream
 
 SPEED_OF_LIGHT = 299792458.0
+_NOISE_ROWS = 512  # rows per noise block; numpy's draws do not depend on the split
 
 
 @dataclass(frozen=True)
@@ -238,8 +240,11 @@ def station_stream(scenario: Scenario, traj: Trajectory, d: int, rng: RandomStre
     are the channel response at the pedestrian's position plus circular
     complex Gaussian noise.
 
-    The values are built and noised in place in the array returned, so peak
-    memory is that array plus one float64 noise draw. A station that an
+    The values are built and noised in place in the array returned, the noise
+    in blocks of _NOISE_ROWS rows, so a station in flight holds that
+    array plus one float64 block of noise (256 KiB at 64 subcarriers). The
+    real part is drawn over all rows first, then the imaginary part: the
+    draws are those of two whole-array draws, bit for bit. A station that an
     outage empties keeps its k_raw columns: its values have shape (0, k_raw)."""
     g = rng.child(f"station{d}")
     t = _poisson_arrivals(scenario.mean_rate_hz, scenario.duration_s, g.child("arrivals"))
@@ -249,11 +254,27 @@ def station_stream(scenario: Scenario, traj: Trajectory, d: int, rng: RandomStre
     if scenario.noise_std > 0:
         s = scenario.noise_std / math.sqrt(2.0)
         gn = g.child("noise")
-        values.real += gn.normal(0, s, values.shape)  # real part drawn first
-        values.imag += gn.normal(0, s, values.shape)
+        for part in (values.real, values.imag):  # real part drawn first
+            for i in range(0, len(part), _NOISE_ROWS):
+                block = part[i : i + _NOISE_ROWS]
+                block += gn.normal(0, s, block.shape)
     return CsiStream(station=d, timestamps=t, values=values)
 
 
 def gen_csi_streams(scenario: Scenario, traj: Trajectory, rng: RandomStream) -> List[CsiStream]:
-    """Every station's station_stream; the stations' draws are independent."""
-    return [station_stream(scenario, traj, d, rng) for d in range(scenario.n_stations)]
+    """Every station's station_stream, in station order, simulated two at a
+    time: station d on the calling thread while station d + 1 runs on one
+    worker thread. Station d draws only from rng's "station{d}" children, so
+    the streams are those of a loop over the stations, bit for bit. The peak
+    is the streams returned plus two stations' noise blocks and per-frame
+    vectors. A failing station's exception is raised once the worker is
+    joined, and no station is started after it."""
+    n = scenario.n_stations
+    streams = []
+    with ThreadPoolExecutor(1) as worker:
+        for d in range(0, n, 2):
+            odd = worker.submit(station_stream, scenario, traj, d + 1, rng) if d + 1 < n else None
+            streams.append(station_stream(scenario, traj, d, rng))
+            if odd is not None:
+                streams.append(odd.result())
+    return streams

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 
 import stationsense as ss
+from stationsense import synth
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
@@ -36,3 +37,23 @@ def test_grouped_encoder_layers_are_traced():
         fx.encode_backward(caches, np.ones(q.shape))
     names = {s.name for s in tracer.spans}
     assert {"nnkit.dense.fwd", "nnkit.dense.bwd", "nnkit.batchnorm.fwd", "nnkit.dropout.fwd"} <= names
+
+
+def test_synth_spans_survive_the_lanes():
+    # the tracer keeps one span stack per process: the synth.streams span
+    # opens and closes on the calling thread, so it stays at top level with
+    # every frame counted, and the worker's core.rng spans are all recorded
+    scen = ss.Scenario(duration_s=20.0)
+    traj = ss.gen_trajectory(scen, ss.RandomStream(0, "t"))
+    rng = ss.RandomStream(0, "s")
+    with spans.Tracer("loop") as tracer:
+        for d in range(scen.n_stations):
+            synth.station_stream(scen, traj, d, rng)
+    loop = tracer.spans
+    with spans.Tracer("lanes") as tracer:
+        streams = ss.gen_csi_streams(scen, traj, rng)
+    top = [s for s in tracer.spans if s.name == "synth.streams"]
+    assert len(top) == 1 and top[0].parent == -1
+    assert top[0].info["frames"] == sum(len(s) for s in streams)
+    rng_spans = [sum(s.name == "core.rng" for s in run) for run in (loop, tracer.spans)]
+    assert rng_spans[0] == rng_spans[1] > scen.n_stations

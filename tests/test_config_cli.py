@@ -81,6 +81,27 @@ class TestConfig:
         with pytest.raises(ValueError):
             config_from_dict(doc)
 
+    def test_yaml_integers_in_float_fields_load_as_floats(self):
+        # run_grid labels its Monte Carlo stream with the ratio, so [1] and
+        # [1.0] must draw the same station combinations
+        cfg = config_from_dict(
+            {"sweep": {"label_ratios": [1], "available_station_counts": [1, 4]},
+             "training": {"p_mask_sma": 1, "dae_lr": 1, "encoder_widths": [4]}}
+        )
+        assert cfg.sweep.label_ratios == (1.0,) and type(cfg.sweep.label_ratios[0]) is float
+        assert type(cfg.training.p_mask_sma) is float and cfg.training.p_mask_sma == 1.0
+        assert type(cfg.training.dae_lr) is float
+        # integer hints keep their integers
+        assert cfg.sweep.available_station_counts == (1, 4)
+        assert type(cfg.sweep.available_station_counts[0]) is int
+        assert type(cfg.training.encoder_widths[0]) is int
+
+    def test_scenario_hash_ignores_how_a_float_is_written(self):
+        def hashed(duration):
+            return scenario_hash(config_from_dict({"scenario": {"duration_s": duration}}).scenario)
+
+        assert hashed(600) == hashed(600.0)
+
     def test_to_dict_yaml_safe(self):
         doc = config_to_dict(ss.RunConfig())
         yaml.safe_dump(doc)  # must not choke on tuples/arrays

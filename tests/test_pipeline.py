@@ -1,6 +1,7 @@
 """Preprocessing, window aggregation, dataset construction and serialization."""
 
 import hashlib
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -471,6 +472,51 @@ class TestBuildDatasets:
         win = ss.WindowingConfig(label_rate_hz=1.0, ssl_rate_hz=2.0)
         with pytest.raises(ValueError, match="train split empty"):
             ss.build_datasets(ss.Scenario(duration_s=2.5), win, 0)
+
+    def test_build_datasets_equals_windowing_the_simulated_streams(self):
+        # station d + 1 is simulated on a worker thread while station d is
+        # windowed: the splits equal those built from the run's streams
+        scen = replace(ss.desk_scenario(), duration_s=40.0)
+        win = ss.desk_windowing()
+        traj, station = pipeline._simulation(scen, 3)
+        streams = [station(d) for d in range(scen.n_stations)]
+        spec = win.labeled_spec()
+        want = ss.build_labeled_dataset(streams, traj, spec, win.split_ratios)
+        train_end = float(want[0].timestamps[-1]) + spec.width_s / 2
+        want += (ss.build_unlabeled_dataset(streams, win.unlabeled_spec(), win.label_rate_hz, train_end),)
+        for got, d in zip(ss.build_datasets(scen, win, 3), want):
+            assert got.split == d.split
+            for a, b in ((got.x, d.x), (got.missing, d.missing), (got.labels, d.labels),
+                         (got.timestamps, d.timestamps)):
+                np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("where", ["simulate", "window"])
+    def test_build_datasets_failing_station_raises_and_leaves_no_thread(self, monkeypatch, where):
+        # station 1 fails on the worker (simulating) or on the calling thread
+        # (windowing, while station 2 is simulated): the error is raised once
+        # the worker is joined, and no later station is simulated
+        simulate, bounds = pipeline.station_stream, pipeline.window_bounds
+        started, windowed = [], []
+
+        def station_stream(scenario, traj, d, rng):
+            started.append(d)
+            if where == "simulate" and d == 1:
+                raise FloatingPointError("station 1")
+            return simulate(scenario, traj, d, rng)
+
+        def window_bounds(*args):
+            windowed.append(len(windowed))
+            if where == "window" and windowed[-1] == 1:
+                raise FloatingPointError("station 1")
+            return bounds(*args)
+
+        monkeypatch.setattr(pipeline, "station_stream", station_stream)
+        monkeypatch.setattr(pipeline, "window_bounds", window_bounds)
+        threads = threading.active_count()
+        with pytest.raises(FloatingPointError, match="station 1"):
+            ss.build_datasets(ss.Scenario(duration_s=20.0), ss.desk_windowing(), 0)
+        assert threading.active_count() == threads
+        assert started == ([0, 1] if where == "simulate" else [0, 1, 2])
 
     def test_subset_and_sample_views(self, small_datasets):
         train = small_datasets[0]

@@ -1,12 +1,15 @@
 """Synthetic trajectory, channel model, and frame-stream generation."""
 
 import hashlib
+import threading
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import stationsense as ss
+from stationsense import synth
 from stationsense.synth import (
     SPEED_OF_LIGHT,
     _outage_intervals,
@@ -244,3 +247,81 @@ class TestGenCsiStreamsBytes:
         kept = sum(s.values.nbytes + s.timestamps.nbytes for s in streams)
         one = max(s.values.nbytes for s in streams)
         assert peak - base < kept + one
+
+
+class TestTwoLanes:
+    def test_streams_equal_a_loop_over_the_stations(self):
+        # the golden outage run: station 0 is empty, the others are not
+        scen, traj, streams = _golden_streams("outage")
+        rng = ss.RandomStream(_GOLDEN_STREAMS["outage"][0], "golden").child("streams")
+        loop = [synth.station_stream(scen, traj, d, rng) for d in range(scen.n_stations)]
+        assert [s.station for s in streams] == list(range(scen.n_stations))
+        for s, want in zip(streams, loop):
+            assert s.timestamps.tobytes() == want.timestamps.tobytes()
+            assert s.values.shape == want.values.shape
+            assert s.values.tobytes() == want.values.tobytes()
+
+    @pytest.mark.parametrize("n_stations", [2, 3])
+    def test_short_and_odd_station_counts_keep_station_order(self, n_stations):
+        scen = ss.Scenario(duration_s=10.0, n_stations=n_stations, station_positions=None)
+        traj = ss.gen_trajectory(scen, ss.RandomStream(0, "t"))
+        rng = ss.RandomStream(0, "s")
+        streams = ss.gen_csi_streams(scen, traj, rng)
+        loop = [synth.station_stream(scen, traj, d, rng) for d in range(n_stations)]
+        assert [s.station for s in streams] == list(range(n_stations))
+        assert [s.values.tobytes() for s in streams] == [s.values.tobytes() for s in loop]
+
+    def test_station_order_holds_when_the_worker_finishes_first(self, monkeypatch):
+        # even stations run on the calling thread and are slowed down, so
+        # every odd station on the worker finishes first
+        response = synth.channel_response
+
+        def slow_even(positions, station, scenario):
+            if station % 2 == 0:
+                time.sleep(0.02)
+            return response(positions, station, scenario)
+
+        monkeypatch.setattr(synth, "channel_response", slow_even)
+        scen = ss.Scenario(duration_s=5.0)
+        traj = ss.gen_trajectory(scen, ss.RandomStream(0, "t"))
+        streams = ss.gen_csi_streams(scen, traj, ss.RandomStream(0, "s"))
+        assert [s.station for s in streams] == list(range(scen.n_stations))
+
+    @pytest.mark.parametrize("failing", [4, 5])
+    def test_a_failing_station_raises_and_starts_no_later_station(self, monkeypatch, failing):
+        # stations 4 and 5 run side by side, 4 on the calling thread and 5 on
+        # the worker: either failure is raised once both have finished, and
+        # stations 6 and 7 are never started
+        response = synth.channel_response
+        started = []
+
+        def fail_at(positions, station, scenario):
+            started.append(station)
+            if station == failing:
+                raise FloatingPointError(f"station {station}")
+            return response(positions, station, scenario)
+
+        monkeypatch.setattr(synth, "channel_response", fail_at)
+        scen = ss.Scenario(duration_s=30.0)
+        traj = ss.gen_trajectory(scen, ss.RandomStream(0, "t"))
+        threads = threading.active_count()
+        with pytest.raises(FloatingPointError, match=f"station {failing}"):
+            ss.gen_csi_streams(scen, traj, ss.RandomStream(0, "s"))
+        assert threading.active_count() == threads
+        assert sorted(started) == list(range(6))
+
+    def test_one_station_holds_its_values_plus_one_noise_block(self):
+        # the noise goes in by row blocks: a whole float64 draw would be half
+        # the values on its own
+        scen = ss.Scenario(duration_s=60.0)
+        rng = ss.RandomStream(0, "memory")
+        traj = ss.gen_trajectory(scen, rng.child("traj"))
+        tracemalloc.start()
+        try:
+            base, _ = tracemalloc.get_traced_memory()
+            stream = synth.station_stream(scen, traj, 3, rng.child("streams"))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        kept = stream.values.nbytes + stream.timestamps.nbytes
+        assert peak - base < kept + 0.4 * stream.values.nbytes

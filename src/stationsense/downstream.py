@@ -182,7 +182,7 @@ def train_downstream(
             feats = fx.embed(xb, "eval")
         pred, head_caches = model.head.forward(feats, "train", srng.child("head"))
         loss, dpred = mse_loss(pred, y[idx])
-        dfeats, grads = model.head.backward(head_caches, dpred)
+        dfeats, grads = model.head.backward(head_caches, dpred, input_grad=joint)
         if joint:
             dq, agg_grads = fx.aggregate_backward(agg_caches, dfeats)
             grads.update(agg_grads)

@@ -89,9 +89,11 @@ class Dense:
         y += _rows(self.params["b"])
         return y, x
 
-    def backward(self, cache, dy):
+    def backward(self, cache, dy, input_grad=True):
         x = cache
         grads = {"w": np.swapaxes(x, -1, -2) @ dy, "b": dy.sum(axis=-2)}
+        if not input_grad:
+            return None, grads
         return dy @ np.swapaxes(self.params["w"], -1, -2), grads
 
     def spec(self):
@@ -132,13 +134,17 @@ class BatchNorm:
             "running_var": np.ones(width, dtype=dtype),
         }
 
-    def forward(self, x, mode, rng):
+    def forward(self, x, mode, rng, held: Optional["HeldStats"] = None):
+        """In train mode the batch statistics move the running ones, at once or,
+        given `held`, when `held.apply()` runs."""
         rm, rv = self.buffers["running_mean"], self.buffers["running_var"]
         if mode == "train":
             mu = x.mean(axis=-2)
             var = x.var(axis=-2)  # biased (1/n) batch estimator
-            rm[...] = BN_MOMENTUM * rm + (1 - BN_MOMENTUM) * mu
-            rv[...] = BN_MOMENTUM * rv + (1 - BN_MOMENTUM) * var
+            if held is None:
+                self.update_running(mu, var)
+            else:
+                held.updates.append((self, mu, var))
         else:
             mu, var = rm.copy(), rv  # the cache keeps this mean, not later updates
         mu, std = _rows(mu), _rows(np.sqrt(var + BN_EPS))
@@ -146,6 +152,11 @@ class BatchNorm:
         y *= _rows(self.params["gamma"])
         y += _rows(self.params["beta"])
         return y, (mode, x, mu, std)
+
+    def update_running(self, mu, var):
+        rm, rv = self.buffers["running_mean"], self.buffers["running_var"]
+        rm[...] = BN_MOMENTUM * rm + (1 - BN_MOMENTUM) * mu
+        rv[...] = BN_MOMENTUM * rv + (1 - BN_MOMENTUM) * var
 
     @staticmethod
     def _normalize(x, mu, std):
@@ -210,6 +221,21 @@ class Dropout:
         return {"kind": self.kind, "name": self.name, "rate": self.rate}
 
 
+class HeldStats:
+    """The running-statistic updates of train-mode batch-norm forwards given
+    it, held back until `apply` writes them in the order they were taken. A
+    forward on another thread that holds its updates writes no buffer, so
+    it can run beside a forward that writes its own at once."""
+
+    def __init__(self):
+        self.updates: List[Tuple[BatchNorm, np.ndarray, np.ndarray]] = []
+
+    def apply(self) -> None:
+        for layer, mu, var in self.updates:
+            layer.update_running(mu, var)
+        self.updates.clear()
+
+
 # spec kind -> layer class and the spec fields its constructor takes after the name
 _LAYER_KINDS = {
     "dense": (Dense, ("n_in", "n_out")),
@@ -256,23 +282,29 @@ class MlpStack:
             layers.append(layer)
         return MlpStack(layers, list(stacks))
 
-    def forward(self, x, mode="train", rng=None):
+    def forward(self, x, mode="train", rng=None, held: Optional[HeldStats] = None):
         """Dropout layer i draws from `rng.child(f"l{i}")` in train mode; no
         other layer draws, so no other stream is derived. A grouped stack
         takes a (G, n, w) block and one stream per group in `rng`. Eval mode
         keeps the caches too, so a backward can follow it (gradient checks
-        run on frozen batch-norm statistics)."""
+        run on frozen batch-norm statistics). Given `held`, the batch-norm
+        layers hold their running-statistic updates in it."""
         caches = []
         for i, layer in enumerate(self.layers):
             lrng = None
             if mode == "train" and rng is not None and layer.kind == "dropout":
                 lrng = rng.child(f"l{i}") if self.members is None else [r.child(f"l{i}") for r in rng]
-            x, cache = layer.forward(x, mode, lrng)
+            if layer.kind == "batchnorm":
+                x, cache = layer.forward(x, mode, lrng, held)
+            else:
+                x, cache = layer.forward(x, mode, lrng)
             caches.append(cache)
         return x, caches
 
-    def backward(self, caches, dy):
-        """Input gradient and named parameter gradients from a forward's caches."""
+    def backward(self, caches, dy, input_grad=True):
+        """Input gradient and named parameter gradients from a forward's caches.
+        With `input_grad` False a dense first layer skips its input gradient,
+        and None stands in its place."""
         if caches is None:
             raise ValueError("backward needs the caches of a forward pass")
         # numpy's reduction order over n follows the memory layout: a C-ordered
@@ -282,7 +314,10 @@ class MlpStack:
         grads: Dict[str, np.ndarray] = {}
         for i in range(len(self.layers) - 1, -1, -1):
             layer = self.layers[i]
-            dy, layer_grads = layer.backward(caches[i], dy)
+            if i == 0 and not input_grad and layer.kind == "dense":
+                dy, layer_grads = layer.backward(caches[i], dy, input_grad=False)
+            else:
+                dy, layer_grads = layer.backward(caches[i], dy)
             for pname, g in layer_grads.items():
                 if self.members is None:
                     grads[f"{layer.name}.{pname}"] = g

@@ -145,20 +145,26 @@ class Dataset:
 
 
 def scenario_hash(scenario: Scenario) -> str:
+    """Digest of the scenario's fields. Every field but the two counts is
+    hashed as floats, so 600 and 600.0 give one hash."""
+
+    def floats(*values):
+        return [float(v) for v in values]
+
     payload = json.dumps(
         {
             "n_stations": scenario.n_stations,
             "k_raw": scenario.k_raw,
-            "carrier_hz": scenario.carrier_hz,
-            "bandwidth_hz": scenario.bandwidth_hz,
-            "room_extent": list(scenario.room_extent),
-            "ap_position": list(scenario.ap_position),
-            "station_positions": [list(p) for p in scenario.station_positions],
-            "duration_s": scenario.duration_s,
-            "mean_rate_hz": scenario.mean_rate_hz,
-            "outage": [scenario.outage.mean_gap_s, scenario.outage.mean_len_s],
-            "noise_std": scenario.noise_std,
-            "scatter_coeff": scenario.scatter_coeff,
+            "carrier_hz": float(scenario.carrier_hz),
+            "bandwidth_hz": float(scenario.bandwidth_hz),
+            "room_extent": floats(*scenario.room_extent),
+            "ap_position": floats(*scenario.ap_position),
+            "station_positions": [floats(*p) for p in scenario.station_positions],
+            "duration_s": float(scenario.duration_s),
+            "mean_rate_hz": float(scenario.mean_rate_hz),
+            "outage": floats(scenario.outage.mean_gap_s, scenario.outage.mean_len_s),
+            "noise_std": float(scenario.noise_std),
+            "scatter_coeff": float(scenario.scatter_coeff),
         },
         sort_keys=True,
     )

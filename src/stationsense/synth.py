@@ -33,20 +33,22 @@ class OutageSpec:
 
 
 def _default_station_positions(n: int, extent: Tuple[float, float]) -> tuple:
-    """Evenly spread stations along the room perimeter."""
+    """Evenly spread stations along the room perimeter. Each coordinate is
+    clamped to the room, where a corner's rounding can land a hair outside."""
     x_max, y_max = extent
     perim = 2 * (x_max + y_max)
     pts = []
     for i in range(n):
         s = (i + 0.5) * perim / n
         if s < x_max:
-            pts.append((s, 0.0))
+            x, y = s, 0.0
         elif s < x_max + y_max:
-            pts.append((x_max, s - x_max))
+            x, y = x_max, s - x_max
         elif s < 2 * x_max + y_max:
-            pts.append((2 * x_max + y_max - s, y_max))
+            x, y = 2 * x_max + y_max - s, y_max
         else:
-            pts.append((0.0, perim - s))
+            x, y = 0.0, perim - s
+        pts.append((min(max(x, 0.0), x_max), min(max(y, 0.0), y_max)))
     return tuple(pts)
 
 

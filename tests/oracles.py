@@ -3,7 +3,9 @@ definitions: one sample and one station at a time."""
 
 import numpy as np
 
-from stationsense.nnkit import MlpStack
+from stationsense.core import sample_mask_matrix
+from stationsense.crossl import vicreg_loss_grads
+from stationsense.nnkit import MlpStack, fit_loop
 from stationsense.pipeline import window_bounds
 
 
@@ -78,3 +80,25 @@ def ensemble_predict_loop(members, xb):
     """Mean of each member's prediction on its own station."""
     xb = np.asarray(xb, dtype=np.float32)
     return np.mean([m.predict(xb[:, d : d + 1, :]) for d, m in enumerate(members)], axis=0)
+
+
+def pretrain_one_lane(fx, unlabeled, p_mask, w, tc, rng):
+    """crossl.pretrain with the two views run one after the other on the
+    calling thread, each batch-norm layer writing its running statistics
+    during its own forward."""
+    x_all = unlabeled.x.astype(np.float32)
+
+    def step(idx, srng):
+        q, enc_caches = fx.encode_batch(x_all[idx], "train", srng.child("enc"))
+        keep = [~sample_mask_matrix(p_mask, len(idx), fx.n_stations, srng.child(f"mask{v}"))[:, :, None]
+                for v in (1, 2)]
+        z1, c1 = fx.aggregate_batch(q * keep[0], "train", srng.child("agg1"))
+        z2, c2 = fx.aggregate_batch(q * keep[1], "train", srng.child("agg2"))
+        loss, dz1, dz2 = vicreg_loss_grads(z1, z2, w)
+        dq1, g1 = fx.aggregate_backward(c1, dz1)
+        dq2, g2 = fx.aggregate_backward(c2, dz2)
+        grads = {k: g1[k] + g2[k] for k in g1}
+        grads.update(fx.encode_backward(enc_caches, dq1 * keep[0] + dq2 * keep[1]))
+        return loss, grads
+
+    return fit_loop(fx.params(), step, unlabeled.n, tc, rng.child("pretrain"), fx.buffers())

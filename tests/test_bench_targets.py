@@ -57,3 +57,19 @@ def test_synth_spans_survive_the_lanes():
     assert top[0].info["frames"] == sum(len(s) for s in streams)
     rng_spans = [sum(s.name == "core.rng" for s in run) for run in (loop, tracer.spans)]
     assert rng_spans[0] == rng_spans[1] > scen.n_stations
+
+
+def test_pretrain_spans_survive_the_lanes():
+    # view 2's aggregator passes may run on pretrain's worker thread: every
+    # step and every pass of both views is still recorded once
+    gen = np.random.default_rng(0)
+    unlabeled = ss.Dataset("unlabeled", gen.random((40, 3, 4)).astype(np.float32),
+                           np.zeros((40, 3), bool), None, np.arange(40.0))
+    fx = ss.build_extractor(3, 4, ss.RandomStream(0, "fx"), embedding_dim=3,
+                            aggregator_hidden=(8, 4), encoder_widths=(5,))
+    tc = ss.TrainConfig(1e-3, 16, 2, 1)  # 3 steps an epoch, never stops early
+    with spans.Tracer("pretrain") as tracer:
+        ss.pretrain(fx, unlabeled, 0.5, ss.VicregWeights(), tc, ss.RandomStream(0, "pt"))
+    count = {name: sum(s.name == name for s in tracer.spans)
+             for name in (spans.STEP, "crossl.aggregate", "crossl.aggregate_bwd")}
+    assert count == {spans.STEP: 6, "crossl.aggregate": 12, "crossl.aggregate_bwd": 12}

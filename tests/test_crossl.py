@@ -1,19 +1,25 @@
 """View-agreement loss terms, feature extractor, and self-supervised training."""
 
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stationsense as ss
+from stationsense import crossl
 from stationsense.crossl import (
+    FeatureExtractor,
     vicreg_covariance_grad,
     vicreg_invariance_grad,
     vicreg_variance_grad,
 )
 from stationsense.nnkit import Dense, MlpStack, mlp_blocks
 
-from oracles import encode_backward_loop, encode_loop, station_stacks
+from oracles import encode_backward_loop, encode_loop, pretrain_one_lane, station_stacks
 
 
 # ---------------------------------------------------------------------------
@@ -433,6 +439,121 @@ class TestPretrain:
         with pytest.raises(ValueError):
             ss.pretrain(fx, unlabeled, 1.5, ss.VicregWeights(), ss.TrainConfig(1e-3, 8, 2, 1),
                         ss.RandomStream(0, "f"))
+
+
+class EagerWorker(ThreadPoolExecutor):
+    """A lane that returns each future only once its worker has started it,
+    so the calling thread never takes a view back."""
+
+    def submit(self, fn, *args, **kwargs):
+        started = threading.Event()
+
+        def run():
+            started.set()
+            return fn(*args, **kwargs)
+
+        future = super().submit(run)
+        assert started.wait(60)
+        return future
+
+
+class BusyWorker(ThreadPoolExecutor):
+    """A lane whose worker is held busy until shutdown, so every view
+    submitted to it is still pending when the calling thread takes it back."""
+
+    def __init__(self, max_workers):
+        super().__init__(max_workers)
+        self.release = threading.Event()
+        started = threading.Event()
+        super().submit(lambda: (started.set(), self.release.wait(60)))
+        assert started.wait(60)
+
+    def shutdown(self, *args, **kwargs):
+        self.release.set()
+        super().shutdown(*args, **kwargs)
+
+
+class TestPretrainLanes:
+    TC = ss.TrainConfig(1e-3, 64, 3, 2)
+
+    @staticmethod
+    def _fit(unlabeled, train, encoder_widths=(16,)):
+        rng = ss.RandomStream(2, "lanes")
+        fx = ss.build_extractor(unlabeled.n_stations, unlabeled.k, rng.child("init"),
+                                embedding_dim=8, aggregator_hidden=(32, 16),
+                                encoder_widths=encoder_widths)
+        res = train(fx, unlabeled, 0.5, ss.VicregWeights(), TestPretrainLanes.TC, rng.child("fit"))
+        state = {**fx.params(), **fx.buffers()}
+        return res, {k: v.tobytes() for k, v in state.items()}
+
+    @staticmethod
+    def _threads_of_views(monkeypatch):
+        """Record the thread that runs each aggregator pass, by view."""
+        seen = []
+        fwd, bwd = FeatureExtractor.aggregate_batch, FeatureExtractor.aggregate_backward
+
+        def aggregate_batch(self, qb, mode, rng, held=None):
+            seen.append((rng.label[-1], threading.current_thread()))
+            return fwd(self, qb, mode, rng, held)
+
+        def aggregate_backward(self, caches, dz):
+            seen.append(("bwd", threading.current_thread()))
+            return bwd(self, caches, dz)
+
+        monkeypatch.setattr(FeatureExtractor, "aggregate_batch", aggregate_batch)
+        monkeypatch.setattr(FeatureExtractor, "aggregate_backward", aggregate_backward)
+        return seen
+
+    @pytest.mark.parametrize("lane", [EagerWorker, BusyWorker])
+    @pytest.mark.parametrize("encoder_widths", [None, (16,)])
+    def test_bitwise_whichever_thread_runs_view_2(self, small_datasets, monkeypatch, lane,
+                                                  encoder_widths):
+        unlabeled = small_datasets[3].subset(np.arange(160))
+        want = self._fit(unlabeled, pretrain_one_lane, encoder_widths)
+        monkeypatch.setattr(crossl, "ThreadPoolExecutor", lane)
+        seen = self._threads_of_views(monkeypatch)
+        got = self._fit(unlabeled, ss.pretrain, encoder_widths)
+        assert got[0].history == want[0].history and got[1] == want[1]
+        caller = threading.current_thread()
+        on_worker = [view for view, thread in seen if thread is not caller]
+        steps = self.TC.max_epochs * 3  # 160 rows in batches of 64; no early stop
+        if lane is EagerWorker:  # view 2's forward and backward ran on the worker
+            assert on_worker == ["2", "bwd"] * steps
+        else:
+            assert on_worker == []
+        assert len(seen) == 4 * steps
+
+    def test_stress_with_fast_thread_switches(self, small_datasets):
+        unlabeled = small_datasets[3]
+        want = self._fit(unlabeled, pretrain_one_lane)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = [self._fit(unlabeled, ss.pretrain) for _ in range(3)]
+        finally:
+            sys.setswitchinterval(interval)
+        for res, state in got:
+            assert res.history == want[0].history and state == want[1]
+
+    @pytest.mark.parametrize("lane", [EagerWorker, BusyWorker, ThreadPoolExecutor])
+    @pytest.mark.parametrize("view", ["1", "2"])
+    def test_no_thread_outlives_pretrain(self, small_datasets, monkeypatch, lane, view):
+        unlabeled = small_datasets[3].subset(np.arange(160))
+        before = set(threading.enumerate())
+        self._fit(unlabeled, ss.pretrain)
+        assert set(threading.enumerate()) == before
+        monkeypatch.setattr(crossl, "ThreadPoolExecutor", lane)
+        fwd = FeatureExtractor.aggregate_batch
+
+        def aggregate_batch(self, qb, mode, rng, held=None):
+            if rng.label.endswith("agg" + view):
+                raise RuntimeError(f"view {view}")
+            return fwd(self, qb, mode, rng, held)
+
+        monkeypatch.setattr(FeatureExtractor, "aggregate_batch", aggregate_batch)
+        with pytest.raises(RuntimeError, match=f"view {view}"):
+            self._fit(unlabeled, ss.pretrain)
+        assert set(threading.enumerate()) == before
 
 
 class TestExtractorCheckpoint:

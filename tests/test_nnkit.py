@@ -12,6 +12,7 @@ from stationsense.nnkit import (
     BatchNorm,
     Dense,
     Dropout,
+    HeldStats,
     MlpStack,
     Relu,
     TrainConfig,
@@ -162,6 +163,42 @@ class TestLayerCaches:
         got = layer.backward(cache, x)
         np.testing.assert_array_equal(got[0], want[0])
         np.testing.assert_array_equal(got[1]["gamma"], want[1]["gamma"])
+
+
+    def test_held_stats_write_on_apply_what_a_forward_writes_at_once(self):
+        def stack():
+            return mlp_blocks("b", 4, [5, 3], _rng("init"), dropout_rate=0.0)
+
+        x1, x2 = (np.random.default_rng(s).random((8, 4)).astype(np.float32) for s in (0, 1))
+        now, later = stack(), stack()
+        now.forward(x1, "train")
+        want, _ = now.forward(x2, "train")
+        start = {k: v.copy() for k, v in later.buffers().items()}
+        held = HeldStats()
+        got, _ = later.forward(x2, "train", held=held)
+        assert got.tobytes() == want.tobytes()
+        assert all(np.array_equal(v, start[k]) for k, v in later.buffers().items())
+        later.forward(x1, "train")
+        held.apply()
+        assert held.updates == []
+        for k, v in now.buffers().items():
+            assert v.tobytes() == later.buffers()[k].tobytes()
+
+    @pytest.mark.parametrize("grouped", [False, True])
+    def test_backward_without_input_gradient_keeps_parameter_gradients(self, grouped):
+        stack = mlp_blocks("b", 4, [5, 3], _rng("init"))
+        x = np.random.default_rng(0).random((8, 4)).astype(np.float32)
+        rng = _rng("fwd")
+        if grouped:
+            stack = MlpStack.group([stack, mlp_blocks("c", 4, [5, 3], _rng("c"))])
+            x, rng = np.stack([x, x[::-1]]), [rng, _rng("fwd2")]
+        y, caches = stack.forward(x, "train", rng)
+        dy = np.random.default_rng(1).random(y.shape)
+        dx, want = stack.backward(caches, dy)
+        assert dx is not None
+        none, got = stack.backward(caches, dy, input_grad=False)
+        assert none is None
+        assert {k: v.tobytes() for k, v in got.items()} == {k: v.tobytes() for k, v in want.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -691,3 +691,17 @@ class TestDatasetSerialization:
         a = scenario_hash(ss.Scenario())
         b = scenario_hash(ss.Scenario(noise_std=0.02))
         assert a != b and a == scenario_hash(ss.Scenario())
+
+    def test_scenario_hash_reads_integers_as_floats(self):
+        assert scenario_hash(ss.Scenario(duration_s=600)) == scenario_hash(ss.Scenario(duration_s=600.0))
+        ints = ss.Scenario(n_stations=4, station_positions=((0, 1), (1, 0), (3, 2), (2, 3)))
+        floats = ss.Scenario(n_stations=4, station_positions=((0.0, 1.0), (1.0, 0.0), (3.0, 2.0), (2.0, 3.0)))
+        assert scenario_hash(ints) == scenario_hash(floats)
+        assert scenario_hash(ss.Scenario(room_extent=(4, 3), ap_position=(2, 1))) == scenario_hash(
+            ss.Scenario(room_extent=(4.0, 3.0), ap_position=(2.0, 1.0)))
+
+    def test_scenario_hash_of_float_written_scenarios_is_pinned(self):
+        floats = ss.Scenario(n_stations=4, station_positions=((0.0, 1.0), (1.0, 0.0), (3.0, 2.0), (2.0, 3.0)))
+        assert scenario_hash(ss.Scenario()) == "d3818a82f31920cb37f4fb40665c94f9"
+        assert scenario_hash(ss.desk_scenario()) == "d3818a82f31920cb37f4fb40665c94f9"
+        assert scenario_hash(floats) == "d20aa9e2f76e9ad1ae7ff2d13a759593"

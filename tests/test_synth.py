@@ -28,6 +28,24 @@ class TestScenario:
         for x, y in s.station_positions:
             assert 0 <= x <= s.room_extent[0] and 0 <= y <= s.room_extent[1]
 
+    # sha256 of each default layout's float64 bytes, as they were before
+    # positions were clamped to the room
+    DEFAULT_POSITIONS_SHA256 = {
+        2: "af3f6e8b4865a46d", 3: "bcc3fb71193129af", 4: "5021fadc1724fc3b",
+        6: "cd006e209c24df10", 8: "e754f7ee33e53c3c", 10: "070b4a78f3c4d32d",
+        12: "48d21005c986aab7", 14: "2e6a4d6ca8165937", 16: "50c2b57c15cf24b3",
+    }
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_every_station_count_builds_inside_the_room(self, n):
+        s = ss.Scenario(n_stations=n)
+        assert len(s.station_positions) == n
+        for x, y in s.station_positions:
+            assert 0 <= x <= s.room_extent[0] and 0 <= y <= s.room_extent[1]
+        if n in self.DEFAULT_POSITIONS_SHA256:
+            raw = np.array(s.station_positions, dtype=np.float64).tobytes()
+            assert hashlib.sha256(raw).hexdigest()[:16] == self.DEFAULT_POSITIONS_SHA256[n]
+
     def test_rejects_bad_geometry(self):
         with pytest.raises(ValueError):
             ss.Scenario(ap_position=(10.0, 0.0))

@@ -7,7 +7,9 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import astuple, fields
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -93,10 +95,9 @@ def cmd_pretrain(args):
     tr = cfg.training
     unlabeled = load_dataset(args.dataset)
     fx, result = _pretrain(unlabeled, tr, args.seed)
-    w = tr.vicreg
     save_checkpoint(
         fx, args.out,
-        meta={"p_mask": tr.p_mask_crossl, "vicreg": [w.lam, w.mu, w.nu, w.gamma, w.epsilon],
+        meta={"p_mask": tr.p_mask_crossl, "vicreg": list(astuple(tr.vicreg)),
               "seed": args.seed, "epochs": len(result.history),
               "best_loss": result.best_loss},
     )
@@ -121,12 +122,13 @@ def cmd_train(args):
 
 
 def cmd_evaluate(args):
+    sweep = load_config(args.config).sweep
     model = load_checkpoint(args.model, "sensing_model")
     test = load_dataset(args.dataset)
     rows = []
-    for k in args.k:
+    for k in sweep.available_station_counts:
         value = eval_at_availability(
-            model, test, k, args.policy, args.n_draws,
+            model, test, k, sweep.combination_policy, sweep.n_draws,
             RandomStream(args.seed, f"mc/{k}"),
         )
         rows.append(MetricsRow("model", k, 1.0, args.seed, value, 0.0))
@@ -174,7 +176,7 @@ def cmd_pca_export(args):
     tr_vec = vectors(train, None)
     rows = []
     for k in args.k:
-        _, te_proj = pca_export(tr_vec, vectors(test, k), dims=2)
+        _, te_proj = pca_export(tr_vec, vectors(test, k))
         for i in range(test.n):
             rows.append(
                 {
@@ -189,14 +191,11 @@ def cmd_pca_export(args):
 
 
 def cmd_report(args):
+    types = get_type_hints(MetricsRow)
     with open(args.metrics) as f:
-        reader = csv.DictReader(f)
         rows = [
-            MetricsRow(
-                r["method"], int(r["k_available"]), float(r["label_ratio"]),
-                int(r["seed"]), float(r["rmse"]), float(r["runtime_s"]),
-            )
-            for r in reader
+            MetricsRow(**{c.name: types[c.name](r[c.name]) for c in fields(MetricsRow)})
+            for r in csv.DictReader(f)
         ]
     summary = summarize(rows)
     write_summary_csv(rows, args.out)
@@ -237,12 +236,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=cmd_train)
 
-    sp = sub.add_parser("evaluate", help="availability-sweep evaluation of a model")
+    sp = sub.add_parser("evaluate", help="availability sweep of a model (settings from the YAML's sweep)")
     sp.add_argument("--model", required=True)
     sp.add_argument("--dataset", required=True)
-    sp.add_argument("--k", type=int, nargs="+", default=[1, 4, 8])
-    sp.add_argument("--policy", choices=["exhaustive", "monte_carlo"], default="exhaustive")
-    sp.add_argument("--n-draws", type=int, default=500)
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=cmd_evaluate)
 

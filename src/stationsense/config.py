@@ -62,14 +62,7 @@ def load_config(path: Optional[str]) -> RunConfig:
 
 
 def config_to_dict(cfg: RunConfig) -> dict:
-    doc = {
-        "scenario": asdict(cfg.scenario),
-        "windowing": asdict(cfg.windowing),
-        "training": asdict(cfg.training),
-        "sweep": asdict(cfg.sweep),
-    }
-    # YAML-safe plain types only
-    return json.loads(json.dumps(doc))
+    return json.loads(json.dumps(asdict(cfg)))  # YAML-safe plain types only
 
 
 def dump_config(cfg: RunConfig, path) -> None:

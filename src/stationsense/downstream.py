@@ -5,7 +5,7 @@ naive, output ensemble, denoising autoencoder, random erasing, inpainting).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -31,13 +31,13 @@ from .nnkit import (
 from .pipeline import Dataset
 
 HEAD_HIDDEN = 64
+ERASE_RANGE = (0.4, 0.6)  # random erasing blanks this fraction range of a station's subcarriers
 
 
 @dataclass(frozen=True)
 class AugmentConfig:
     kind: str = "none"  # none | sma | random_erase
     p_mask: float = 0.5
-    erase_range: Tuple[float, float] = (0.4, 0.6)
     p_aug: float = 0.5  # per-sample application probability (online strategy)
     strategy: str = "offline_double"  # offline_double | online
 
@@ -46,9 +46,6 @@ class AugmentConfig:
             raise ValueError(f"unknown augmentation kind {self.kind}")
         if self.strategy not in ("offline_double", "online"):
             raise ValueError(f"unknown augmentation strategy {self.strategy}")
-        s_l, s_h = self.erase_range
-        if not (0.0 <= s_l <= s_h <= 1.0):
-            raise ValueError("erase_range must satisfy 0 <= s_l <= s_h <= 1")
         for p in (self.p_mask, self.p_aug):
             if not (0.0 <= p <= 1.0):
                 raise ValueError("probabilities must be in [0, 1]")
@@ -89,7 +86,7 @@ def _apply_augment_batch(
         return xb
     if aug.kind == "sma":
         return sma_augment_batch(xb, aug.p_mask, rng)
-    return random_erase_batch(xb, missing, aug.erase_range[0], aug.erase_range[1], rng)
+    return random_erase_batch(xb, missing, *ERASE_RANGE, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -121,8 +118,8 @@ class SensingModel:
         return out[:, 0]
 
 
-def build_head(n_in: int, rng: RandomStream, hidden: int = HEAD_HIDDEN) -> MlpStack:
-    return mlp_head("head", n_in, hidden, 1, rng)
+def build_head(n_in: int, rng: RandomStream) -> MlpStack:
+    return mlp_head("head", n_in, HEAD_HIDDEN, 1, rng)
 
 
 def train_downstream(
@@ -247,14 +244,7 @@ class EnsembleModel:
 def train_ensemble(labeled: Dataset, tc: TrainConfig, rng: RandomStream) -> EnsembleModel:
     members = []
     for d in range(labeled.n_stations):
-        sub = Dataset(
-            split=labeled.split,
-            x=labeled.x[:, d : d + 1, :],
-            missing=labeled.missing[:, d : d + 1],
-            labels=labeled.labels,
-            timestamps=labeled.timestamps,
-            provenance=dict(labeled.provenance),
-        )
+        sub = replace(labeled, x=labeled.x[:, d : d + 1, :], missing=labeled.missing[:, d : d + 1])
         members.append(_train_head(sub, None, "joint", AugmentConfig(), tc, rng.child(f"member{d}")))
     return EnsembleModel(members)
 

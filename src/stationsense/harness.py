@@ -9,7 +9,7 @@ import hashlib
 import itertools
 import math
 import time
-from dataclasses import asdict, astuple, dataclass, field, replace
+from dataclasses import asdict, astuple, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -467,20 +467,18 @@ def run_masking_heatmap(
 # ---------------------------------------------------------------------------
 
 
-def pca_export(
-    train_vectors: np.ndarray, test_vectors: np.ndarray, dims: int = 2
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Fit a PCA projection on the training vectors, apply the same affine
-    map to the test vectors."""
+def pca_export(train_vectors: np.ndarray, test_vectors: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Fit a 2-D PCA projection on the training vectors, apply the same
+    affine map to the test vectors."""
     tr = np.asarray(train_vectors, dtype=float)
     te = np.asarray(test_vectors, dtype=float)
     mean = tr.mean(axis=0)
     centered = tr - mean
     _, s, vt = np.linalg.svd(centered, full_matrices=False)
     rank = int(np.sum(s > s[0] * 1e-10)) if len(s) else 0
-    if rank < dims:
-        raise ValueError(f"training data rank {rank} below requested dims {dims}")
-    comps = vt[:dims]
+    if rank < 2:
+        raise ValueError(f"training data rank {rank} below the 2 projected dims")
+    comps = vt[:2]
     return centered @ comps.T, (te - mean) @ comps.T
 
 
@@ -488,7 +486,7 @@ def pca_export(
 # CSV output
 # ---------------------------------------------------------------------------
 
-METRICS_COLUMNS = ["method", "k_available", "label_ratio", "seed", "rmse", "runtime_s"]
+METRICS_COLUMNS = [f.name for f in fields(MetricsRow)]
 _SUMMARY_COLUMNS = ["method", "k_available", "label_ratio", "rmse_mean", "rmse_std", "n_seeds"]
 _ERROR_COLUMNS = ["method", "ratio", "seed", "k", "error"]  # k blank for a training failure
 _HEATMAP_COLUMNS = ["p_mask_crossl", "p_mask_sma", "k_available", "rmse_mean", "rmse_std"]
@@ -523,9 +521,10 @@ def write_summary_csv(rows: List[MetricsRow], path) -> None:
 
 def _write_dicts_csv(records: List[dict], columns: Sequence[str], path) -> None:
     """The one table writer: the declared header, even for no records, then
-    a row per record, floats as repr and a column the record lacks blank."""
+    a row per record, every float (numpy's too) as the repr of a Python
+    float and a column the record lacks blank."""
     with open(path, "w", newline="") as f:
         w = csv.DictWriter(f, fieldnames=columns)
         w.writeheader()
         for r in records:
-            w.writerow({c: (repr(v) if isinstance(v, float) else v) for c, v in r.items()})
+            w.writerow({c: repr(float(v)) if isinstance(v, (float, np.floating)) else v for c, v in r.items()})

@@ -13,8 +13,8 @@ import os
 import struct
 import zlib
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from dataclasses import astuple, dataclass, field, fields, is_dataclass
+from typing import Callable, List, Optional, Sequence, Tuple, get_type_hints
 
 import numpy as np
 
@@ -51,6 +51,8 @@ class WindowingConfig:
     split_ratios: Tuple[float, float, float] = (7.0, 1.5, 1.5)
 
     def __post_init__(self):
+        self.labeled_spec()  # WindowSpec checks the width and each rate
+        self.unlabeled_spec()
         if self.ssl_rate_hz <= self.label_rate_hz:
             raise ValueError(f"SSL rate {self.ssl_rate_hz} Hz must exceed label rate {self.label_rate_hz} Hz")
         if min(self.split_ratios) < 0 or sum(self.split_ratios) <= 0:
@@ -133,9 +135,9 @@ class Dataset:
     def labeled(self) -> bool:
         return self.labels is not None
 
-    def subset(self, idx: np.ndarray, split: Optional[str] = None) -> "Dataset":
+    def subset(self, idx: np.ndarray) -> "Dataset":
         return Dataset(
-            split=split or self.split,
+            split=self.split,
             x=self.x[idx],
             missing=self.missing[idx],
             labels=None if self.labels is None else self.labels[idx],
@@ -145,30 +147,20 @@ class Dataset:
 
 
 def scenario_hash(scenario: Scenario) -> str:
-    """Digest of the scenario's fields. Every field but the two counts is
-    hashed as floats, so 600 and 600.0 give one hash."""
+    """Digest of every field of the scenario. The int-typed fields are hashed
+    as ints and every other number as a float, so 600 and 600.0 give one
+    hash; the outage is the list of its values."""
+    types = get_type_hints(Scenario)
 
-    def floats(*values):
-        return [float(v) for v in values]
+    def plain(value, hint=None):
+        if is_dataclass(value):
+            value = astuple(value)
+        if isinstance(value, tuple):
+            return [plain(v) for v in value]
+        return int(value) if hint is int else float(value)
 
-    payload = json.dumps(
-        {
-            "n_stations": scenario.n_stations,
-            "k_raw": scenario.k_raw,
-            "carrier_hz": float(scenario.carrier_hz),
-            "bandwidth_hz": float(scenario.bandwidth_hz),
-            "room_extent": floats(*scenario.room_extent),
-            "ap_position": floats(*scenario.ap_position),
-            "station_positions": [floats(*p) for p in scenario.station_positions],
-            "duration_s": float(scenario.duration_s),
-            "mean_rate_hz": float(scenario.mean_rate_hz),
-            "outage": floats(scenario.outage.mean_gap_s, scenario.outage.mean_len_s),
-            "noise_std": float(scenario.noise_std),
-            "scatter_coeff": float(scenario.scatter_coeff),
-        },
-        sort_keys=True,
-    )
-    return hashlib.md5(payload.encode()).hexdigest()
+    payload = {f.name: plain(getattr(scenario, f.name), types[f.name]) for f in fields(Scenario)}
+    return hashlib.md5(json.dumps(payload, sort_keys=True).encode()).hexdigest()
 
 
 def _reference_centers(duration_s: float, spec: WindowSpec) -> np.ndarray:
@@ -199,11 +191,10 @@ def _aggregate_all(
     return x, missing
 
 
-def _window_raw(streams: List[CsiStream], centers, spec: WindowSpec, keep: Optional[Sequence[int]]):
-    """_aggregate_all over raw streams. `keep` defaults to the keep list of
-    their raw column count, which a stream an outage emptied keeps."""
-    if keep is None:
-        keep = default_keep_list(streams[0].values.shape[-1])
+def _window_raw(streams: List[CsiStream], centers, spec: WindowSpec):
+    """_aggregate_all over raw streams, at the keep list of their raw column
+    count, which a stream an outage emptied keeps."""
+    keep = default_keep_list(streams[0].values.shape[-1])
     return _aggregate_all(lambda d: preprocess_stream(streams[d], keep), len(streams), len(keep), centers, spec)
 
 
@@ -282,13 +273,12 @@ def build_labeled_dataset(
     traj: Trajectory,
     spec: WindowSpec,
     split_ratios: Tuple[float, float, float] = (7.0, 1.5, 1.5),
-    keep: Optional[Sequence[int]] = None,
 ) -> Tuple[Dataset, Dataset, Dataset]:
     """Windowed, labeled samples split time-contiguously into train/val/test."""
     if not streams:
         raise ValueError("no streams")
     centers = _reference_centers(traj.duration_s, spec)
-    x, missing = _window_raw(streams, centers, spec, keep)
+    x, missing = _window_raw(streams, centers, spec)
     return _labeled_splits(x, missing, centers, traj, split_ratios)
 
 
@@ -297,7 +287,6 @@ def build_unlabeled_dataset(
     spec: WindowSpec,
     label_rate_hz: float,
     train_end_s: float,
-    keep: Optional[Sequence[int]] = None,
 ) -> Dataset:
     """Unlabeled samples at the (higher) SSL rate, restricted to the
     training-time span to avoid leakage into val/test ranges."""
@@ -306,7 +295,7 @@ def build_unlabeled_dataset(
             f"unlabeled rate {spec.rate_hz} Hz must exceed label rate {label_rate_hz} Hz"
         )
     centers = _reference_centers(train_end_s, spec)
-    x, missing = _window_raw(streams, centers, spec, keep)
+    x, missing = _window_raw(streams, centers, spec)
     return Dataset("unlabeled", x, missing, None, centers)
 
 

@@ -31,6 +31,10 @@ class OutageSpec:
     mean_gap_s: float = 60.0
     mean_len_s: float = 5.0
 
+    def __post_init__(self):
+        if self.mean_gap_s < 0 or self.mean_len_s < 0:
+            raise ValueError(f"outage means must be >= 0, got {self.mean_gap_s} and {self.mean_len_s}")
+
 
 def _default_station_positions(n: int, extent: Tuple[float, float]) -> tuple:
     """Evenly spread stations along the room perimeter. Each coordinate is
@@ -72,6 +76,8 @@ class Scenario:
     scatter_coeff: float = 0.6
 
     def __post_init__(self):
+        if self.n_stations < 1:
+            raise ValueError(f"n_stations must be at least 1, got {self.n_stations}")
         if self.station_positions is None:
             object.__setattr__(
                 self,
@@ -80,6 +86,8 @@ class Scenario:
             )
         if self.duration_s <= 0 or self.mean_rate_hz <= 0:
             raise ValueError("duration_s and mean_rate_hz must be positive")
+        if self.noise_std < 0:
+            raise ValueError(f"noise_std must be >= 0, got {self.noise_std}")
         if len(self.station_positions) != self.n_stations:
             raise ValueError("station_positions length must equal n_stations")
         for p in self.station_positions + (self.ap_position,):

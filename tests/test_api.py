@@ -1,10 +1,12 @@
-"""The public API of `stationsense` and the leaves of its YAML configuration,
-pinned name by name: adding or removing a public name or a knob needs an
-edit here."""
+"""The public API of `stationsense`, the leaves of its YAML configuration and
+the flags of its command line, pinned name by name: adding or removing a
+public name, a knob or a flag needs an edit here."""
 
+import argparse
 import types
 
 import stationsense as ss
+from stationsense.cli import build_parser
 from stationsense.config import config_to_dict
 
 PUBLIC_NAMES = [
@@ -42,6 +44,19 @@ YAML_LEAVES = [
     "windowing.width_s",
 ]
 
+# "" holds the flags taken before the subcommand
+CLI_FLAGS = {
+    "": ["--config", "--out-dir", "--seed"],
+    "build-dataset": ["--export-csv"],
+    "evaluate": ["--dataset", "--model", "--out"],
+    "pca-export": ["--extractor", "--k", "--out", "--test", "--train"],
+    "pretrain": ["--dataset", "--out"],
+    "report": ["--metrics", "--out"],
+    "simulate": [],
+    "sweep": ["--data-dir", "--methods"],
+    "train": ["--extractor", "--label-ratio", "--labeled", "--method", "--out"],
+}
+
 
 def test_public_names_are_pinned():
     names = sorted(
@@ -63,3 +78,14 @@ def test_yaml_leaves_are_pinned():
     names = sorted(leaves(config_to_dict(ss.RunConfig())))
     assert names == YAML_LEAVES
     assert len(names) == 45
+
+
+def test_cli_flags_are_pinned():
+    def flags(parser):
+        return sorted(f for a in parser._actions for f in a.option_strings if f not in ("-h", "--help"))
+
+    parser = build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    found = {"": flags(parser), **{name: flags(p) for name, p in commands.choices.items()}}
+    assert found == CLI_FLAGS
+    assert sum(map(len, found.values())) == 23

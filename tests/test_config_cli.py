@@ -71,13 +71,20 @@ class TestConfig:
          {"training": {"naive_variant": "x"}}, {"windowing": {"ssl_rate_hz": 30.0}},
          {"windowing": {"split_ratios": [0, 0, 0]}}, {"windowing": {"split_ratios": [7, -1, 1.5]}},
          {"training": {"p_mask_sma": 1.5}}, {"training": {"p_mask_crossl": -0.2}},
-         {"training": {"p_aug": 2.0}}, {"training": {"dae_lr": -1}}],
+         {"training": {"p_aug": 2.0}}, {"training": {"dae_lr": -1}},
+         {"windowing": {"width_s": -1}}, {"windowing": {"label_rate_hz": 0}},
+         {"windowing": {"label_rate_hz": -2.0, "ssl_rate_hz": -1.0}},
+         {"scenario": {"outage": {"mean_gap_s": -60.0}}}, {"scenario": {"outage": {"mean_len_s": -5.0}}},
+         {"scenario": {"noise_std": -0.01}}, {"scenario": {"n_stations": 0}}],
         ids=["mode", "aug_strategy", "naive_variant", "ssl_rate", "zero_ratios", "negative_ratio",
-             "p_mask_sma", "p_mask_crossl", "p_aug", "dae_lr"],
+             "p_mask_sma", "p_mask_crossl", "p_aug", "dae_lr", "width", "zero_label_rate",
+             "negative_rates", "negative_gap", "negative_outage_len", "negative_noise",
+             "no_stations"],
     )
     def test_bad_values_raise_at_load(self, doc):
-        # a bad string, rate or windowing fails when the YAML loads, not
-        # part-way through a sweep or a dataset build
+        # a bad string, rate, windowing or scenario fails when the YAML
+        # loads, not part-way through a sweep, a simulation or a dataset
+        # build, and not silently
         with pytest.raises(ValueError):
             config_from_dict(doc)
 
@@ -218,20 +225,33 @@ class TestCli:
         model = ss.load_checkpoint(model_path, "sensing_model")
         assert model.extractor is not None
 
-        metrics_path = tmp_path / "metrics.csv"
+        # evaluate takes k, the policy and the draw count from the YAML's sweep
+        metrics_path, eval_path = tmp_path / "metrics.csv", tmp_path / "eval.yaml"
+        eval_path.write_text(yaml.safe_dump({"sweep": {"available_station_counts": [1, 8]}}))
         rc = main(
-            ["evaluate", "--model", str(model_path),
-             "--dataset", str(data_dir / "test.bin"), "--k", "1", "8",
-             "--out", str(metrics_path)]
+            ["--config", str(eval_path), "evaluate", "--model", str(model_path),
+             "--dataset", str(data_dir / "test.bin"), "--out", str(metrics_path)]
         )
         assert rc == 0
         with open(metrics_path) as f:
             rows = list(csv.DictReader(f))
         assert [r["k_available"] for r in rows] == ["1", "8"]
         assert all(float(r["rmse"]) >= 0 for r in rows)
+        eval_path.write_text(yaml.safe_dump(
+            {"sweep": {"available_station_counts": [4], "combination_policy": "monte_carlo",
+                       "n_draws": 3}}))
+        assert main(["--config", str(eval_path), "--seed", "2", "evaluate", "--model", str(model_path),
+                     "--dataset", str(data_dir / "test.bin"), "--out", str(metrics_path)]) == 0
+        with open(metrics_path) as f:
+            (row,) = csv.DictReader(f)
+        want = ss.eval_at_availability(model, ss.load_dataset(data_dir / "test.bin"), 4,
+                                       "monte_carlo", 3, ss.RandomStream(2, "mc/4"))
+        assert float(row["rmse"]) == want
+        eval_path.write_text(yaml.safe_dump(
+            {"sweep": {"combination_policy": "monte_carlo", "n_draws": 0}}))
         with pytest.raises(ValueError, match="n_draws"):
-            main(["evaluate", "--model", str(model_path), "--dataset", str(data_dir / "test.bin"),
-                  "--policy", "monte_carlo", "--n-draws", "0"])
+            main(["--config", str(eval_path), "evaluate", "--model", str(model_path),
+                  "--dataset", str(data_dir / "test.bin")])
 
     def test_train_identity_extractor(self, cli_workspace, tmp_path):
         _, cfg_path, data_dir = cli_workspace
@@ -346,6 +366,6 @@ class TestCli:
         assert len(rows) == 2 * test.n
         assert {r["availability"] for r in rows} == {"8", "4"}
         # k = 8 keeps every station, so its rows project the raw test vectors
-        _, want = ss.pca_export(train.x.reshape(train.n, -1), test.x.reshape(test.n, -1), dims=2)
+        _, want = ss.pca_export(train.x.reshape(train.n, -1), test.x.reshape(test.n, -1))
         got = [[float(r["pc1"]), float(r["pc2"])] for r in rows if r["availability"] == "8"]
         np.testing.assert_array_equal(got, want)

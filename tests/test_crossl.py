@@ -19,6 +19,7 @@ from stationsense.crossl import (
 )
 from stationsense.nnkit import Dense, MlpStack, mlp_blocks
 
+from conftest import BusyWorker, EagerWorker
 from oracles import encode_backward_loop, encode_loop, pretrain_one_lane, station_stacks
 
 
@@ -439,38 +440,6 @@ class TestPretrain:
         with pytest.raises(ValueError):
             ss.pretrain(fx, unlabeled, 1.5, ss.VicregWeights(), ss.TrainConfig(1e-3, 8, 2, 1),
                         ss.RandomStream(0, "f"))
-
-
-class EagerWorker(ThreadPoolExecutor):
-    """A lane that returns each future only once its worker has started it,
-    so the calling thread never takes a view back."""
-
-    def submit(self, fn, *args, **kwargs):
-        started = threading.Event()
-
-        def run():
-            started.set()
-            return fn(*args, **kwargs)
-
-        future = super().submit(run)
-        assert started.wait(60)
-        return future
-
-
-class BusyWorker(ThreadPoolExecutor):
-    """A lane whose worker is held busy until shutdown, so every view
-    submitted to it is still pending when the calling thread takes it back."""
-
-    def __init__(self, max_workers):
-        super().__init__(max_workers)
-        self.release = threading.Event()
-        started = threading.Event()
-        super().submit(lambda: (started.set(), self.release.wait(60)))
-        assert started.wait(60)
-
-    def shutdown(self, *args, **kwargs):
-        self.release.set()
-        super().shutdown(*args, **kwargs)
 
 
 class TestPretrainLanes:

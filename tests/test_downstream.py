@@ -113,8 +113,6 @@ class TestRandomErase:
 
     def test_invalid_range(self):
         for bad in ((0.7, 0.3), (0.2, 1.5), (-0.5, -0.2)):
-            with pytest.raises(ValueError):
-                AugmentConfig(kind="random_erase", erase_range=bad)
             x, missing = self._observed(np.random.default_rng(0), 4, 2, k=10)
             with pytest.raises(ValueError, match="erase range"):
                 random_erase_batch(x, missing, *bad, ss.RandomStream(0, "erase"))

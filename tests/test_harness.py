@@ -9,6 +9,7 @@ import pytest
 
 import stationsense as ss
 from stationsense import harness
+from stationsense.cli import main
 from stationsense.harness import (
     EXHAUSTIVE_COMBINATION_CAP,
     MetricsRow,
@@ -207,6 +208,13 @@ class TestMetricsTables:
             rec = list(csv.DictReader(f))[0]
         assert float(rec["rmse"]) == 0.1 + 0.2  # repr survives the round trip
 
+    def test_numpy_floats_are_written_as_python_floats(self, tmp_path):
+        # np.float64 is a float subclass whose repr is "np.float64(0.1)"
+        p = tmp_path / "t.csv"
+        record = {"a": np.float64(0.1), "b": np.float32(0.5), "c": 0.1 + 0.2, "d": 3, "e": "x"}
+        harness._write_dicts_csv([record], list(record), p)
+        assert p.read_text().splitlines() == ["a,b,c,d,e", "0.1,0.5,0.30000000000000004,3,x"]
+
 
 class TestRunGrid:
     def test_shape_and_failure_capture(self, small_datasets, tmp_path):
@@ -258,6 +266,17 @@ class TestRunGrid:
         rows, failures = run_grid(spec, ["constant"], train, test, None, ss.TrainSettings(), tmp_path)
         assert len(rows) == 1 and not failures
         assert (tmp_path / "errors.csv").read_text().splitlines() == ["method,ratio,seed,k,error"]
+
+    def test_numpy_label_ratios_write_a_metrics_csv_that_report_reads(self, small_datasets,
+                                                                      tmp_path):
+        train, _, test, _ = small_datasets
+        spec = SweepSpec(available_station_counts=(8,), label_ratios=tuple(np.linspace(0.5, 1.0, 2)),
+                         seeds=(0,))
+        run_grid(spec, ["constant"], train, test, None, ss.TrainSettings(), tmp_path)
+        with open(tmp_path / "metrics.csv") as f:
+            assert [r["label_ratio"] for r in csv.DictReader(f)] == ["0.5", "1.0"]
+        assert main(["report", "--metrics", str(tmp_path / "metrics.csv"),
+                     "--out", str(tmp_path / "report.csv")]) == 0
 
     def test_one_method_three_seeds_three_rows(self, small_datasets, tmp_path):
         train, _, test, _ = small_datasets
@@ -385,7 +404,7 @@ class TestPcaExport:
         gen = np.random.default_rng(0)
         tr = gen.random((50, 6))
         te = gen.random((20, 6))
-        tr_p, te_p = ss.pca_export(tr, te, dims=2)
+        tr_p, te_p = ss.pca_export(tr, te)
         mean = tr.mean(axis=0)
         _, _, vt = np.linalg.svd(tr - mean, full_matrices=False)
         np.testing.assert_allclose(np.abs(tr_p), np.abs((tr - mean) @ vt[:2].T), atol=1e-10)
@@ -403,10 +422,10 @@ class TestPcaExport:
     def test_variance_ordering(self):
         gen = np.random.default_rng(2)
         tr = gen.normal(0, [5.0, 1.0, 0.1], (200, 3))
-        tr_p, _ = ss.pca_export(tr, tr, dims=2)
+        tr_p, _ = ss.pca_export(tr, tr)
         assert tr_p[:, 0].var() > tr_p[:, 1].var()
 
     def test_rank_deficient_rejected(self):
         tr = np.ones((10, 3))
         with pytest.raises(ValueError):
-            ss.pca_export(tr, tr, dims=2)
+            ss.pca_export(tr, tr)

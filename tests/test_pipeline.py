@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import stationsense as ss
 from stationsense import pipeline
+from stationsense.config import config_from_dict
 from stationsense.pipeline import (
     DEFAULT_DROP_64,
     DatasetFormatError,
@@ -405,7 +406,8 @@ class TestBuildDatasets:
 
     def test_empty_first_station_keeps_its_columns(self):
         # an outage that empties station 0 leaves it with k_raw columns, so
-        # the default keep list is that of k_raw = 32, not of 64 subcarriers
+        # the keep list is that of k_raw = 32, every column, not that of 64
+        # subcarriers
         gen = np.random.default_rng(5)
         ts = np.arange(0.0, 20.0, 0.05)
         streams = [CsiStream(0, ts[:0], np.zeros((0, 32), dtype=complex))] + [
@@ -416,10 +418,12 @@ class TestBuildDatasets:
         spec = ss.WindowSpec(2.0, 2.0)
         splits = ss.build_labeled_dataset(streams, traj, spec)
         unlabeled = ss.build_unlabeled_dataset(streams, ss.WindowSpec(2.0, 4.0), 2.0, 14.0)
-        explicit = ss.build_labeled_dataset(streams, traj, spec, keep=range(32))
-        for d, want in zip(splits, explicit):
+        for d in splits:
             assert d.k == 32 and d.missing[:, 0].all() and not d.missing[:, 1:].any()
-            np.testing.assert_array_equal(d.x, want.x)
+        centers = np.concatenate([d.timestamps for d in splits])
+        every_column = [ss.preprocess_stream(s, range(32)) for s in streams]
+        want, _ = aggregate_windows_loop(every_column, centers, spec)
+        np.testing.assert_array_equal(np.concatenate([d.x for d in splits]), want)
         assert unlabeled.k == 32 and unlabeled.missing[:, 0].all()
 
     @pytest.mark.parametrize("labeled", [True, False])
@@ -521,8 +525,8 @@ class TestBuildDatasets:
     def test_subset_and_sample_views(self, small_datasets):
         train = small_datasets[0]
         idx = np.array([0, 2, 4])
-        sub = train.subset(idx, split="val")
-        assert sub.n == 3 and sub.split == "val"
+        sub = train.subset(idx)
+        assert sub.n == 3 and sub.split == "train"
         np.testing.assert_array_equal(sub.x, train.x[idx])
         np.testing.assert_array_equal(sub.missing, train.missing[idx])
         np.testing.assert_array_equal(sub.labels, train.labels[idx])
@@ -705,3 +709,21 @@ class TestDatasetSerialization:
         assert scenario_hash(ss.Scenario()) == "d3818a82f31920cb37f4fb40665c94f9"
         assert scenario_hash(ss.desk_scenario()) == "d3818a82f31920cb37f4fb40665c94f9"
         assert scenario_hash(floats) == "d20aa9e2f76e9ad1ae7ff2d13a759593"
+
+    def test_scenario_hash_digests_are_pinned(self):
+        # dataset files carry the digest as provenance, so it must not move
+        yaml_ints = config_from_dict({"scenario": {
+            "duration_s": 600, "noise_std": 0, "room_extent": [4, 3], "ap_position": [2, 1],
+            "outage": {"mean_gap_s": 60, "mean_len_s": 5}, "carrier_hz": 60000000,
+            "bandwidth_hz": 40000000, "mean_rate_hz": 20, "scatter_coeff": 1, "n_stations": 4,
+            "station_positions": [[0, 0], [4, 0], [4, 3], [0, 3]]}}).scenario
+        digests = {
+            "default": (ss.Scenario(), "d3818a82f31920cb37f4fb40665c94f9"),
+            "desk": (ss.desk_scenario(), "d3818a82f31920cb37f4fb40665c94f9"),
+            "desk, 16 stations": (replace(ss.desk_scenario(), n_stations=16, station_positions=None),
+                                  "46aa50215ed55872668d2855cb8060b7"),
+            "YAML integers": (yaml_ints, "96cfd14cea8936ce1b5701e3a3ce78d3"),
+            "noise_std=0": (ss.Scenario(noise_std=0), "4ea958035c4a6f9c5c1c1e3abb06abf6"),
+        }
+        assert {k: scenario_hash(s) for k, (s, _) in digests.items()} == {
+            k: digest for k, (_, digest) in digests.items()}

@@ -2,7 +2,6 @@
 
 import hashlib
 import threading
-import time
 import tracemalloc
 
 import numpy as np
@@ -15,6 +14,8 @@ from stationsense.synth import (
     _outage_intervals,
     _poisson_arrivals,
 )
+
+from conftest import DeferredWorker, InlineWorker
 
 
 class TestScenario:
@@ -289,21 +290,34 @@ class TestTwoLanes:
         assert [s.station for s in streams] == list(range(n_stations))
         assert [s.values.tobytes() for s in streams] == [s.values.tobytes() for s in loop]
 
-    def test_station_order_holds_when_the_worker_finishes_first(self, monkeypatch):
-        # even stations run on the calling thread and are slowed down, so
-        # every odd station on the worker finishes first
-        response = synth.channel_response
+    @staticmethod
+    def _finishing_order(monkeypatch, lane):
+        """The order in which the stations finish under `lane`, checking that
+        the streams still come in station order, bit for bit those of a loop."""
+        stream, finished = synth.station_stream, []
 
-        def slow_even(positions, station, scenario):
-            if station % 2 == 0:
-                time.sleep(0.02)
-            return response(positions, station, scenario)
+        def record(scenario, traj, d, rng):
+            s = stream(scenario, traj, d, rng)
+            finished.append(d)
+            return s
 
-        monkeypatch.setattr(synth, "channel_response", slow_even)
+        monkeypatch.setattr(synth, "station_stream", record)
+        monkeypatch.setattr(synth, "ThreadPoolExecutor", lane)
         scen = ss.Scenario(duration_s=5.0)
-        traj = ss.gen_trajectory(scen, ss.RandomStream(0, "t"))
-        streams = ss.gen_csi_streams(scen, traj, ss.RandomStream(0, "s"))
+        traj, rng = ss.gen_trajectory(scen, ss.RandomStream(0, "t")), ss.RandomStream(0, "s")
+        streams = ss.gen_csi_streams(scen, traj, rng)
+        loop = [stream(scen, traj, d, rng) for d in range(scen.n_stations)]
         assert [s.station for s in streams] == list(range(scen.n_stations))
+        assert [s.values.tobytes() for s in streams] == [s.values.tobytes() for s in loop]
+        return finished
+
+    def test_station_order_holds_when_the_worker_finishes_first(self, monkeypatch):
+        # each odd station runs inside submit, before its even partner starts
+        assert self._finishing_order(monkeypatch, InlineWorker) == [1, 0, 3, 2, 5, 4, 7, 6]
+
+    def test_station_order_holds_when_the_worker_finishes_last(self, monkeypatch):
+        # each odd station runs only when its result is taken
+        assert self._finishing_order(monkeypatch, DeferredWorker) == list(range(8))
 
     @pytest.mark.parametrize("failing", [4, 5])
     def test_a_failing_station_raises_and_starts_no_later_station(self, monkeypatch, failing):

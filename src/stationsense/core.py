@@ -1,4 +1,5 @@
-"""Deterministic RNG streams and station-mask sampling.
+"""Deterministic RNG streams, station-mask sampling and the one-BLAS-thread
+pin that fits and evaluations run under.
 
 Every stage (simulation, dataset building, training, evaluation) draws its
 randomness from a labeled `RandomStream`, so a seed reproduces a run bitwise.
@@ -6,7 +7,11 @@ randomness from a labeled `RandomStream`, so a seed reproduces a run bitwise.
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import threading
 import zlib
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -67,3 +72,51 @@ def sample_mask_matrix(p_mask: float, n: int, n_stations: int, rng: RandomStream
         raise ValueError(f"p_mask must be in [0, 1], got {p_mask}")
     return rng.random((n, n_stations)) < p_mask
 
+
+@functools.cache
+def _openblas_threads():
+    """(get, set) of the thread count of the OpenBLAS bundled with numpy,
+    found through numpy's own extension module, or None for another BLAS."""
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+        get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    except (OSError, AttributeError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    return get, set_
+
+
+_pin_lock = threading.Lock()
+_pin_depth = 0
+_pin_restore = 1
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the body with OpenBLAS on one thread. The setting is process-wide:
+    it holds for every thread until the last of any nested or concurrent pins
+    exits, which restores the count the first one saw. The fits and the
+    availability evaluations run their second CPU as a lane of their own,
+    which a second BLAS thread would only compete with. Without numpy's
+    bundled OpenBLAS it does nothing. The thread count can change the last
+    bits of some large float64 products; the fits and evaluations here give
+    the same results pinned as at two threads."""
+    global _pin_depth, _pin_restore
+    blas = _openblas_threads()
+    if blas is None:
+        yield
+        return
+    get, set_ = blas
+    with _pin_lock:
+        if _pin_depth == 0:
+            _pin_restore = get()
+            set_(1)
+        _pin_depth += 1
+    try:
+        yield
+    finally:
+        with _pin_lock:
+            _pin_depth -= 1
+            if _pin_depth == 0:
+                set_(_pin_restore)

@@ -8,14 +8,16 @@ import csv
 import hashlib
 import itertools
 import math
+import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, astuple, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import RandomStream
+from .core import RandomStream, _one_blas_thread
 from .crossl import (
     FeatureExtractor,
     VicregWeights,
@@ -162,12 +164,12 @@ def _pretrain_key(unlabeled: Dataset, settings: TrainSettings, seed: int) -> tup
     for a in (unlabeled.x, unlabeled.missing):
         digest.update(repr((a.dtype.str, a.shape)).encode())
         digest.update(np.ascontiguousarray(a).data)
-    s = settings
-    widths = None if s.encoder_widths is None else tuple(s.encoder_widths)
-    return (
-        seed, s.p_mask_crossl, digest.hexdigest(), s.embedding_dim, tuple(s.aggregator_hidden),
-        widths, astuple(s.vicreg), astuple(s.pretrain),
+    shape = tuple(
+        (name, tuple(v) if isinstance(v, (list, tuple)) else v)
+        for name, v in _extractor_shape(settings).items()
     )
+    s = settings
+    return (seed, s.p_mask_crossl, digest.hexdigest(), shape, astuple(s.vicreg), astuple(s.pretrain))
 
 
 def pretrain_extractor(
@@ -315,16 +317,25 @@ def eval_at_availability(
     model,
     test: Dataset,
     k: int,
-    policy: str = "exhaustive",
-    n_draws: int = 500,
+    policy: str = SweepSpec.combination_policy,
+    n_draws: int = SweepSpec.n_draws,
     rng: Optional[RandomStream] = None,
 ) -> float:
     """RMSE averaged over station-missingness combinations with k available.
 
     exhaustive: every size-(N_d - k) mask (falls back to Monte Carlo above
-    the combination cap); monte_carlo: n_draws uniform random combinations.
-    Per-combination RMSEs are averaged.
-    """
+    the combination cap); monte_carlo: n_draws uniform random combinations,
+    drawn before any is evaluated. Per-combination RMSEs are averaged.
+
+    The combinations run on two lanes, the calling thread and one worker
+    thread, which take them in turn from one shared queue. So `model.predict`
+    is called from two threads at once, and must only read the model (every
+    stationsense model does in eval mode). Each combination masks its own
+    copy of the test inputs and keeps its RMSE in its own slot, and the mean
+    is taken in combination order, so the result is bit for bit that of one
+    lane. A combination that raises stops both lanes from starting another,
+    and it is raised once the worker is joined. The lanes run with OpenBLAS
+    on one thread (`core._one_blas_thread`, process-wide)."""
     n_d = test.n_stations
     if not (1 <= k <= n_d):
         raise ValueError(f"k must be in [1, {n_d}], got {k}")
@@ -343,7 +354,27 @@ def eval_at_availability(
         ]
     else:
         raise ValueError(f"unknown policy {policy}")
-    values = [_masked_rmse(model, test, c) for c in combos]
+    values = np.empty(len(combos))
+    todo = iter(range(len(combos)))
+    take = threading.Lock()
+    failed = threading.Event()
+
+    def lane():
+        while not failed.is_set():
+            with take:
+                i = next(todo, None)
+            if i is None:
+                return
+            try:
+                values[i] = _masked_rmse(model, test, combos[i])
+            except BaseException:
+                failed.set()
+                raise
+
+    with _one_blas_thread(), ThreadPoolExecutor(1) as worker:
+        other = worker.submit(lane)
+        lane()
+        other.result()
     return float(np.mean(values))
 
 
@@ -437,7 +468,8 @@ def run_masking_heatmap(
     extractor_cache: Optional[dict] = None,
 ) -> List[dict]:
     """Mean RMSE per (pretrain p_mask, downstream p_mask, k) cell, averaged
-    over seeds; mirrors the masking-rate sensitivity grid. Pre-trained
+    over seeds; mirrors the masking-rate sensitivity grid. Above the
+    exhaustive cap each (cell, seed, k) draws its own combinations. Pre-trained
     extractors are shared through `extractor_cache` (a fresh one when None),
     as in train_method."""
     cells = []
@@ -447,7 +479,12 @@ def run_masking_heatmap(
         cell = replace(settings, p_mask_crossl=p_cro, p_mask_sma=p_sma)
         models = [train_method("proposed", train, unlabeled, cell, s, extractor_cache) for s in seeds]
         for k in ks:
-            values = [eval_at_availability(model, test, k) for model in models]
+            values = [
+                eval_at_availability(
+                    model, test, k, rng=RandomStream(seed, f"mc/proposed/{p_cro}/{p_sma}/{k}")
+                )
+                for seed, model in zip(seeds, models)
+            ]
             cells.append(
                 {
                     "p_mask_crossl": p_cro,

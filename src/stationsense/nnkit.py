@@ -25,7 +25,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .core import RandomStream
+from .core import RandomStream, _one_blas_thread
 
 BN_MOMENTUM = 0.99
 BN_EPS = 1e-5
@@ -477,45 +477,48 @@ def fit_loop(
 ) -> FitResult:
     """Generic mini-batch loop: shuffled batches (last partial kept), Adam
     updates, early stop when the epoch-mean training loss fails to improve
-    for `patience` consecutive epochs, best-epoch parameters restored."""
+    for `patience` consecutive epochs, best-epoch parameters restored. It runs
+    with OpenBLAS on one thread (`core._one_blas_thread`, process-wide), and
+    the caller's count is back when it returns or raises."""
     if n_samples < 1:
         raise ValueError("empty training data")
-    state = AdamState(params)
-    history: List[float] = []
-    best_loss = np.inf
-    best_epoch = -1
-    best_params = None
-    best_buffers = None
-    stale = 0
-    for epoch in range(config.max_epochs):
-        erng = rng.child(f"epoch{epoch}")
-        perm = erng.child("shuffle").permutation(n_samples)
-        total = 0.0
-        for b, start in enumerate(range(0, n_samples, config.batch_size)):
-            idx = perm[start : start + config.batch_size]
-            loss, grads = step_fn(idx, erng.child(f"batch{b}"))
-            if not np.isfinite(loss):
-                raise TrainingDiverged(epoch, loss)
-            adam_step(params, grads, state, config.learning_rate)
-            total += loss * len(idx)
-        epoch_loss = total / n_samples
-        history.append(epoch_loss)
-        if epoch_loss < best_loss:
-            best_loss = epoch_loss
-            best_epoch = epoch
-            best_params = {k: v.copy() for k, v in params.items()}
-            best_buffers = None if buffers is None else {k: v.copy() for k, v in buffers.items()}
-            stale = 0
-        else:
-            stale += 1
-            if stale >= config.patience:
-                break
-    for k, p in params.items():
-        p[...] = best_params[k]
-    if buffers is not None:
-        for k, b in buffers.items():
-            b[...] = best_buffers[k]
-    return FitResult(history=history, best_epoch=best_epoch, best_loss=best_loss)
+    with _one_blas_thread():
+        state = AdamState(params)
+        history: List[float] = []
+        best_loss = np.inf
+        best_epoch = -1
+        best_params = None
+        best_buffers = None
+        stale = 0
+        for epoch in range(config.max_epochs):
+            erng = rng.child(f"epoch{epoch}")
+            perm = erng.child("shuffle").permutation(n_samples)
+            total = 0.0
+            for b, start in enumerate(range(0, n_samples, config.batch_size)):
+                idx = perm[start : start + config.batch_size]
+                loss, grads = step_fn(idx, erng.child(f"batch{b}"))
+                if not np.isfinite(loss):
+                    raise TrainingDiverged(epoch, loss)
+                adam_step(params, grads, state, config.learning_rate)
+                total += loss * len(idx)
+            epoch_loss = total / n_samples
+            history.append(epoch_loss)
+            if epoch_loss < best_loss:
+                best_loss = epoch_loss
+                best_epoch = epoch
+                best_params = {k: v.copy() for k, v in params.items()}
+                best_buffers = None if buffers is None else {k: v.copy() for k, v in buffers.items()}
+                stale = 0
+            else:
+                stale += 1
+                if stale >= config.patience:
+                    break
+        for k, p in params.items():
+            p[...] = best_params[k]
+        if buffers is not None:
+            for k, b in buffers.items():
+                b[...] = best_buffers[k]
+        return FitResult(history=history, best_epoch=best_epoch, best_loss=best_loss)
 
 
 def finite_diff_check(

@@ -272,7 +272,7 @@ def build_labeled_dataset(
     streams: List[CsiStream],
     traj: Trajectory,
     spec: WindowSpec,
-    split_ratios: Tuple[float, float, float] = (7.0, 1.5, 1.5),
+    split_ratios: Tuple[float, float, float] = WindowingConfig.split_ratios,
 ) -> Tuple[Dataset, Dataset, Dataset]:
     """Windowed, labeled samples split time-contiguously into train/val/test."""
     if not streams:

@@ -46,7 +46,8 @@ def random_batch(gen: np.random.Generator, n=1, n_d=8, k=52, missing=()):
 
 
 # ---------------------------------------------------------------------------
-# lanes: stand-ins for the one-worker ThreadPoolExecutor of crossl and synth
+# lanes: stand-ins for the one-worker ThreadPoolExecutor of crossl, synth
+# and harness
 # ---------------------------------------------------------------------------
 
 

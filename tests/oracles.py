@@ -1,10 +1,13 @@
 """Loop-level oracles for the batch code, written straight from the
 definitions: one sample and one station at a time."""
 
+import itertools
+
 import numpy as np
 
 from stationsense.core import sample_mask_matrix
 from stationsense.crossl import vicreg_loss_grads
+from stationsense.harness import rmse
 from stationsense.nnkit import MlpStack, fit_loop
 from stationsense.pipeline import window_bounds
 
@@ -102,3 +105,22 @@ def pretrain_one_lane(fx, unlabeled, p_mask, w, tc, rng):
         return loss, grads
 
     return fit_loop(fx.params(), step, unlabeled.n, tc, rng.child("pretrain"), fx.buffers())
+
+
+def eval_one_lane(model, test, k, policy="exhaustive", n_draws=500, rng=None):
+    """eval_at_availability on the calling thread alone: for each combination
+    of N_d - k masked stations in turn (every one, or n_draws sorted uniform
+    draws from rng), the RMSE of the model on a copy of the test inputs with
+    those stations zeroed; then the mean of the RMSEs in that order."""
+    n_d = test.n_stations
+    if policy == "exhaustive":
+        combos = itertools.combinations(range(n_d), n_d - k)
+    else:
+        combos = [tuple(sorted(rng.generator.choice(n_d, n_d - k, replace=False))) for _ in range(n_draws)]
+    values = []
+    for combo in combos:
+        x = test.x.astype(np.float32)
+        for d in combo:
+            x[:, d, :] = 0.0
+        values.append(rmse(model.predict(x), test.labels))
+    return float(np.mean(values))

@@ -1,4 +1,7 @@
-"""RNG streams, station-mask sampling, and input-level station masking."""
+"""RNG streams, station-mask sampling, input-level station masking, and the
+one-BLAS-thread pin."""
+
+import threading
 
 import numpy as np
 import pytest
@@ -6,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stationsense as ss
-from stationsense.core import sample_mask_matrix
+from stationsense.core import _one_blas_thread, _openblas_threads, sample_mask_matrix
 from stationsense.downstream import sma_augment_batch
 
 from conftest import random_batch
@@ -213,3 +216,52 @@ class TestSampleTypes:
             assert np.all(np.isfinite(d.labels))
             assert np.all((d.labels >= 0.0) & (d.labels <= 1.0))
         assert unlabeled.labels is None
+
+
+# ---------------------------------------------------------------------------
+# the one-BLAS-thread pin
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.skipif(_openblas_threads() is None, reason="numpy's bundled OpenBLAS is absent")
+class TestOneBlasThread:
+    @pytest.fixture()
+    def blas(self):
+        get, set_ = _openblas_threads()
+        before = get()
+        set_(2)
+        yield get
+        set_(before)
+
+    def test_nested_pins_hold_one_thread_until_the_outer_exits(self, blas):
+        with _one_blas_thread():
+            assert blas() == 1
+            with _one_blas_thread():
+                assert blas() == 1
+            assert blas() == 1
+        assert blas() == 2
+
+    def test_concurrent_pins_restore_the_first_count_when_the_last_exits(self, blas):
+        # the other thread's pin opens inside this one and closes after it
+        entered, leave = threading.Event(), threading.Event()
+
+        def other():
+            with _one_blas_thread():
+                entered.set()
+                assert leave.wait(30)
+
+        t = threading.Thread(target=other)
+        with _one_blas_thread():
+            t.start()
+            assert entered.wait(30)
+        assert blas() == 1
+        leave.set()
+        t.join(30)
+        assert not t.is_alive()
+        assert blas() == 2
+
+    def test_a_raising_body_restores_the_count(self, blas):
+        with pytest.raises(KeyError):
+            with _one_blas_thread():
+                raise KeyError("body")
+        assert blas() == 2

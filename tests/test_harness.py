@@ -1,7 +1,11 @@
 """Evaluation sweeps, metric tables, and the PCA export."""
 
 import csv
+import inspect
 import math
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -18,6 +22,10 @@ from stationsense.harness import (
     summarize,
     train_method,
 )
+from stationsense.core import _openblas_threads
+
+from conftest import DeferredWorker, InlineWorker
+from oracles import eval_one_lane
 
 
 class ProbeModel:
@@ -131,6 +139,135 @@ class TestEvalAtAvailability:
         a = ss.eval_at_availability(NoisyModel(), test, 4, "monte_carlo", 50, ss.RandomStream(5, "mc"))
         b = ss.eval_at_availability(NoisyModel(), test, 4, "monte_carlo", 50, ss.RandomStream(5, "mc"))
         assert a == b
+
+    def test_defaults_are_the_sweep_spec_defaults(self):
+        params = inspect.signature(ss.eval_at_availability).parameters
+        assert params["policy"].default == SweepSpec().combination_policy
+        assert params["n_draws"].default == SweepSpec().n_draws
+
+
+def blas_threads():
+    """The bundled OpenBLAS's thread count, or None without it."""
+    blas = _openblas_threads()
+    return None if blas is None else blas[0]()
+
+
+class FailingModel:
+    """Predicts zeros, and raises at its `fail_at`-th call (1-based) or at
+    every call on `fail_on`: "caller" is the thread that built it, "worker"
+    any other. With `meet`, the first call on each thread waits until both
+    lanes have made one. Records the BLAS thread count each call sees."""
+
+    def __init__(self, fail_at=None, fail_on=None, meet=False):
+        self.caller = threading.current_thread()
+        self.fail_at, self.fail_on = fail_at, fail_on
+        self.barrier = threading.Barrier(2, timeout=30) if meet else None
+        self.lock = threading.Lock()
+        self.calls, self.seen, self.blas = 0, set(), []
+
+    def predict(self, xb):
+        me = threading.current_thread()
+        with self.lock:
+            self.calls += 1
+            calls, first = self.calls, me not in self.seen
+            self.seen.add(me)
+        self.blas.append(blas_threads())
+        if first and self.barrier is not None:
+            self.barrier.wait()
+        on = "caller" if me is self.caller else "worker"
+        if calls == self.fail_at or on == self.fail_on:
+            raise FloatingPointError(f"call {calls} on the {on}")
+        return np.zeros(len(xb))
+
+
+@pytest.fixture(scope="module")
+def lane_models(small_datasets):
+    """One model of each kind the sweeps evaluate, with their test split."""
+    train, _, test, unlabeled = small_datasets
+    s = _tiny_settings(encoder_widths=(8,))
+    models = {name: train_method(name, train, unlabeled, s, 0)
+              for name in ("proposed", "ensemble", "constant", "inpaint")}
+    return models, test
+
+
+class TestEvalLanes:
+    @pytest.mark.parametrize("lane", [ThreadPoolExecutor, InlineWorker, DeferredWorker])
+    @pytest.mark.parametrize("policy", ["exhaustive", "monte_carlo"])
+    @pytest.mark.parametrize("name", ["proposed", "ensemble", "constant", "inpaint"])
+    def test_bitwise_the_one_lane_mean(self, lane_models, monkeypatch, name, policy, lane):
+        # InlineWorker runs every combination on the worker's lane (inside
+        # submit), DeferredWorker every one on the caller's
+        models, test = lane_models
+        monkeypatch.setattr(harness, "ThreadPoolExecutor", lane)
+        args = (models[name], test, 4, policy, 40)
+        got = ss.eval_at_availability(*args, ss.RandomStream(3, "mc"))
+        assert got == eval_one_lane(*args, ss.RandomStream(3, "mc"))
+
+    def test_predict_runs_on_two_threads_at_once(self):
+        model = FailingModel(meet=True)
+        before = set(threading.enumerate())
+        ss.eval_at_availability(model, tiny_dataset(), 4, "exhaustive")
+        assert model.calls == math.comb(8, 4) and len(model.seen) == 2
+        assert set(threading.enumerate()) == before
+
+    def test_stress_with_fast_thread_switches(self, lane_models):
+        # two evaluations at once: four threads on the CPUs, two concurrent pins
+        models, test = lane_models
+        want = {name: eval_one_lane(models[name], test, 4) for name in ("proposed", "ensemble")}
+        before, got = blas_threads(), {}
+
+        def run(name):
+            got[name] = ss.eval_at_availability(models[name], test, 4)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(name,)) for name in want]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == want
+        assert blas_threads() == before
+
+    @pytest.mark.parametrize("lane", [InlineWorker, DeferredWorker])
+    def test_a_failing_combination_stops_both_lanes(self, monkeypatch, lane):
+        # the 3rd combination fails on the worker's lane (InlineWorker) or the
+        # caller's (DeferredWorker); no combination starts after it
+        monkeypatch.setattr(harness, "ThreadPoolExecutor", lane)
+        model = FailingModel(fail_at=3)
+        with pytest.raises(FloatingPointError, match="call 3"):
+            ss.eval_at_availability(model, tiny_dataset(), 4, "exhaustive")
+        assert model.calls == 3
+
+    @pytest.mark.parametrize("on", ["caller", "worker"])
+    def test_a_failure_on_either_thread_is_raised_and_leaves_no_thread(self, on):
+        model = FailingModel(fail_on=on, meet=True)
+        before, blas = set(threading.enumerate()), blas_threads()
+        with pytest.raises(FloatingPointError, match=f"on the {on}"):
+            ss.eval_at_availability(model, tiny_dataset(), 4, "exhaustive")
+        assert set(threading.enumerate()) == before
+        assert len(model.seen) == 2
+        assert blas_threads() == blas
+
+    @pytest.mark.skipif(blas_threads() is None, reason="numpy's bundled OpenBLAS is absent")
+    def test_blas_runs_one_thread_and_is_restored(self):
+        blas_set = _openblas_threads()[1]
+        before = blas_threads()
+        blas_set(2)
+        try:
+            model = FailingModel()
+            ss.eval_at_availability(model, tiny_dataset(), 4, "exhaustive")
+            assert set(model.blas) == {1} and blas_threads() == 2
+            model = FailingModel(fail_at=5)
+            with pytest.raises(FloatingPointError):
+                ss.eval_at_availability(model, tiny_dataset(), 4, "exhaustive")
+            assert set(model.blas) == {1} and blas_threads() == 2
+        finally:
+            blas_set(before)
 
 
 class TestLabelRatioSubset:
@@ -374,8 +511,37 @@ class TestPretrainCache:
         assert not np.array_equal(masked.embed(unlabeled.x), base.embed(unlabeled.x))
         assert len(cache) == 3
 
+    def test_key_follows_every_extractor_shape_field(self, small_datasets, monkeypatch):
+        unlabeled, base = small_datasets[3], _tiny_settings()
+        key = harness._pretrain_key(unlabeled, base, 0)
+        other = {"embedding_dim": 4, "aggregator_hidden": (8, 8), "encoder_widths": (4,)}
+        assert set(other) == set(harness._extractor_shape(base))
+        for name, value in other.items():
+            assert harness._pretrain_key(unlabeled, replace(base, **{name: value}), 0) != key
+        # a shape argument build_extractor gains reaches the key too
+        shape = harness._extractor_shape
+        monkeypatch.setattr(harness, "_extractor_shape", lambda s: {**shape(s), "dropout_rate": 0.2})
+        assert harness._pretrain_key(unlabeled, base, 0) != key
+
 
 class TestMaskingHeatmap:
+    def test_each_seed_draws_its_own_monte_carlo_combinations(self, monkeypatch):
+        # 12 stations at k = 6 is above the exhaustive cap
+        probes = {}
+
+        def one_probe_per_seed(name, train, unlabeled, settings, seed, cache):
+            return probes.setdefault(seed, ProbeModel())
+
+        monkeypatch.setattr(harness, "train_method", one_probe_per_seed)
+        test = tiny_dataset(n=4, n_d=12)
+        harness.run_masking_heatmap((0.5,), (6,), (0, 1), None, test, None, _tiny_settings())
+        drawn = {
+            seed: [tuple(np.nonzero(np.all(c == 0.0, axis=(0, 2)))[0]) for c in probe.calls]
+            for seed, probe in probes.items()
+        }
+        assert len(drawn[0]) == len(drawn[1]) == SweepSpec().n_draws
+        assert sorted(drawn[0]) != sorted(drawn[1])
+
     def test_each_cell_trains_proposed_on_the_cell_settings(self, small_datasets, tmp_path):
         train, _, test, unlabeled = small_datasets
         s = _tiny_settings()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import stationsense as ss
+from stationsense.core import _openblas_threads
 from stationsense.nnkit import (
     ADAM_EPS,
     BN_EPS,
@@ -375,6 +376,30 @@ class TestFitLoop:
         a, b = run(), run()
         for k in a:
             np.testing.assert_array_equal(a[k], b[k])
+
+    @pytest.mark.skipif(_openblas_threads() is None, reason="numpy's bundled OpenBLAS is absent")
+    def test_runs_on_one_blas_thread_and_restores_the_count(self):
+        get, set_ = _openblas_threads()
+        before, seen = get(), []
+
+        def step(idx, srng):
+            seen.append(get())
+            return 1.0, {}
+
+        def diverge(idx, srng):
+            seen.append(get())
+            return float("nan"), {}
+
+        set_(2)
+        try:
+            fit_loop({"w": np.array([0.0])}, step, 4, TrainConfig(0.1, 4, 2, 1), _rng("pin"))
+            assert get() == 2
+            with pytest.raises(TrainingDiverged):
+                fit_loop({"w": np.array([0.0])}, diverge, 4, TrainConfig(0.1, 4, 2, 1), _rng("pin"))
+            assert get() == 2
+        finally:
+            set_(before)
+        assert seen == [1, 1, 1]
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 """Preprocessing, window aggregation, dataset construction and serialization."""
 
 import hashlib
+import inspect
 import threading
 import tracemalloc
 from dataclasses import replace
@@ -304,6 +305,11 @@ class TestSplitCounts:
         for n in (997, 1001, 13):
             parts = split_counts(n, (7.0, 1.5, 1.5))
             assert sum(parts) == n
+
+    def test_labeled_builder_splits_as_the_windowing_config_by_default(self):
+        default = inspect.signature(ss.build_labeled_dataset).parameters["split_ratios"].default
+        assert default == ss.WindowingConfig().split_ratios
+        assert default is ss.WindowingConfig.split_ratios
 
 
 def _window_digest(d: ss.Dataset) -> str:

@@ -17,6 +17,7 @@ from .config import config_to_dict, dump_config, load_config
 from .core import RandomStream
 from .downstream import load_checkpoint, save_checkpoint
 from .harness import (
+    _CHECKPOINT_METHODS,
     _EXTRACTOR_METHODS,
     MetricsRow,
     _pretrain,
@@ -39,9 +40,6 @@ from .pipeline import (
     save_dataset,
     scenario_hash,
 )
-
-# the train_method methods whose result is a checkpointable SensingModel
-TRAIN_METHODS = ("naive", "sma", "re", "crossl", "proposed")
 
 
 def _out_dir(args) -> Path:
@@ -229,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("train", help="supervised downstream training (settings from the YAML)")
     sp.add_argument("--labeled", required=True)
-    sp.add_argument("--method", choices=TRAIN_METHODS, default="naive")
+    sp.add_argument("--method", choices=_CHECKPOINT_METHODS, default="naive")
     sp.add_argument("--extractor", default=None,
                     help="pre-trained extractor checkpoint (crossl, proposed)")
     sp.add_argument("--label-ratio", type=float, default=1.0)

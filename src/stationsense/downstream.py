@@ -392,10 +392,10 @@ def _bundle(obj) -> Tuple[dict, Dict[str, np.ndarray]]:
 
 
 def save_checkpoint(obj, path, meta: Optional[dict] = None) -> None:
-    """Write a FeatureExtractor or SensingModel, with optional metadata."""
+    """Write a FeatureExtractor or SensingModel, with optional metadata, in float32."""
     manifest, arrays = _bundle(obj)
     manifest["meta"] = meta or {}
-    write_bundle(path, manifest, arrays)
+    write_bundle(path, manifest, {k: v.astype("<f4", copy=False) for k, v in arrays.items()})
 
 
 def load_checkpoint(path, kind: Optional[str] = None):

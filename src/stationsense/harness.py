@@ -276,6 +276,8 @@ _TRAINERS = {
 METHODS = tuple(_TRAINERS)
 # methods that build on a CroSSL extractor and so can take a pre-trained one
 _EXTRACTOR_METHODS = ("crossl", "proposed")
+# methods that give a checkpointable SensingModel without unlabeled data: the CLI's train
+_CHECKPOINT_METHODS = ("naive", "sma", "re", "crossl", "proposed")
 
 
 def train_method(

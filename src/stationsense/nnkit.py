@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 import os
 import struct
 import zlib
@@ -566,6 +567,8 @@ def finite_diff_check(
 
 _CK_MAGIC = b"SSCK"
 _CK_VERSION = 1
+# a table entry names its dtype only when it is not "<f4", so float32 bundles keep one format
+_CK_DTYPES = ("<f4", "<f8", "|b1")
 
 
 class CheckpointError(Exception):
@@ -573,57 +576,72 @@ class CheckpointError(Exception):
 
 
 def write_bundle(path, manifest: dict, arrays: Dict[str, np.ndarray]) -> None:
-    """Versioned container: JSON manifest + float32 array payloads + CRC32."""
+    """Versioned container: magic, version, a JSON manifest and array table, the
+    arrays' payloads in name order, and a CRC32 of it all, written piece by piece.
+    A dtype not in _CK_DTYPES raises ValueError before the file is opened."""
     names = sorted(arrays)
-    blocks = [np.ascontiguousarray(arrays[name], dtype="<f4") for name in names]
-    table = [{"name": name, "shape": list(a.shape)} for name, a in zip(names, blocks)]
+    blocks = [np.ascontiguousarray(arrays[name]) for name in names]
+    table = []
+    for name, a in zip(names, blocks):
+        if a.dtype.str not in _CK_DTYPES:
+            raise ValueError(f"cannot store array {name!r} of dtype {a.dtype.str}, not in {_CK_DTYPES}")
+        dtype = {} if a.dtype == "<f4" else {"dtype": a.dtype.str}
+        table.append({"name": name, "shape": list(a.shape), **dtype})
     doc = json.dumps({"manifest": manifest, "arrays": table}).encode()
-    buf = bytearray(_CK_MAGIC)
-    buf += struct.pack("<II", _CK_VERSION, len(doc))
-    buf += doc
-    for a in blocks:
-        buf += a.data
-    buf += struct.pack("<I", zlib.crc32(buf))
+    crc = 0
     with open(path, "wb") as f:
-        f.write(buf)
+        for part in (_CK_MAGIC + struct.pack("<II", _CK_VERSION, len(doc)) + doc, *blocks):
+            f.write(part)
+            crc = zlib.crc32(part, crc)
+        f.write(struct.pack("<I", crc))
 
 
-def _check_crc(raw: bytes) -> None:
-    (crc_stored,) = struct.unpack("<I", raw[-4:])
-    if zlib.crc32(memoryview(raw)[:-4]) != crc_stored:
-        raise CheckpointError("checksum failure")
+def _check_crc(rest: bytes, crc: int, error) -> None:
+    """`rest` is the file after the bytes `crc` covers: payloads, then the CRC."""
+    if len(rest) < 4 or zlib.crc32(memoryview(rest)[:-4], crc) != struct.unpack("<I", rest[-4:])[0]:
+        raise error("checksum failure")
 
 
-def read_bundle(path) -> Tuple[dict, Dict[str, np.ndarray]]:
-    """Manifest and arrays of a bundle, the arrays views of one buffer that holds
-    the file. Its length is checked against the size the header and array table
-    imply before the CRC, so a cut file reports truncation, not a checksum failure."""
+def read_bundle(path, error=CheckpointError) -> Tuple[dict, Dict[str, np.ndarray]]:
+    """Manifest and private arrays of a bundle; every failure raises `error`. The
+    magic, the version and the size the header and table imply are checked before
+    any payload is read, so a cut file reports truncation, not a checksum failure.
+    Arrays are read into their own buffers with a running CRC; bools must be 0 or 1."""
     with open(path, "rb") as f:
-        raw = bytearray(os.fstat(f.fileno()).st_size)
-        f.readinto(raw)
-    if len(raw) < 16 or raw[:4] != _CK_MAGIC:
-        raise CheckpointError("not a checkpoint file")
-    version, doc_len = struct.unpack("<II", raw[4:12])
-    size = 16 + doc_len  # header and CRC, before the array table adds its payload
-    if len(raw) < size:
-        raise CheckpointError(f"truncated checkpoint: {len(raw)} bytes, its header needs {size}")
-    try:
-        doc = json.loads(raw[12 : 12 + doc_len])
-        manifest = doc["manifest"]
-        table = [(e["name"], tuple(e["shape"])) for e in doc["arrays"]]
-        size += 4 * sum(int(np.prod(shape)) for _, shape in table)
-        if len(raw) != size:
-            cut = "truncated checkpoint" if len(raw) < size else "checkpoint size mismatch"
-            raise CheckpointError(f"{cut}: {len(raw)} bytes, header and table imply {size}")
-        _check_crc(raw)
-        if version != _CK_VERSION:
-            raise CheckpointError(f"unsupported checkpoint version {version}")
-        arrays, off = {}, 12 + doc_len
-        for name, shape in table:
-            count = int(np.prod(shape))
-            arrays[name] = np.frombuffer(raw, "<f4", count, off).reshape(shape)
-            off += count * 4
-    except (ValueError, KeyError, TypeError) as exc:
-        _check_crc(raw)  # a corrupt header is a checksum failure; an intact one is malformed
-        raise CheckpointError(f"malformed checkpoint header: {exc!r}") from exc
+        size = os.fstat(f.fileno()).st_size
+        head = f.read(12)
+        if size < 16:
+            raise error(f"truncated file: {size} bytes")
+        if head[:4] != _CK_MAGIC:
+            raise error(f"bad magic {head[:4]!r}, expected {_CK_MAGIC!r}")
+        version, doc_len = struct.unpack("<II", head[4:])
+        need = 16 + doc_len  # header and CRC, before the table adds its payloads
+        if size < need:
+            raise error(f"truncated file: {size} bytes, its header needs {need}")
+        raw = f.read(doc_len)
+        crc = zlib.crc32(raw, zlib.crc32(head))
+        try:
+            if version != _CK_VERSION:
+                raise ValueError(f"unsupported version {version}")
+            doc = json.loads(raw)
+            manifest = {**doc["manifest"]}  # TypeError unless a JSON object
+            table = [(e["name"], e["shape"], np.dtype(e.get("dtype", "<f4"))) for e in doc["arrays"]]
+            if any(dt.str not in _CK_DTYPES or min(shape, default=0) < 0 for _, shape, dt in table):
+                raise ValueError(f"an array has a negative dimension or a dtype not in {_CK_DTYPES}")
+            need += sum(dt.itemsize * math.prod(shape) for _, shape, dt in table)
+            if size != need:
+                cut = "truncated file" if size < need else "file size mismatch"
+                raise error(f"{cut}: {size} bytes, header and table imply {need}")
+            blocks = [np.empty(shape, dt) for _, shape, dt in table]
+        except (ValueError, KeyError, TypeError) as exc:  # corrupt header: checksum failure; intact: malformed
+            _check_crc(f.read(), crc, error)
+            raise error(f"malformed header: {exc!r}") from exc
+        for a in blocks:
+            f.readinto(a)
+            crc = zlib.crc32(a, crc)
+        _check_crc(f.read(), crc, error)
+    arrays = {name: a for (name, _, _), a in zip(table, blocks)}
+    for name, a in arrays.items():
+        if a.dtype == bool and (a.view(np.uint8) > 1).any():
+            raise error(f"bool array {name!r} holds bytes other than 0 and 1")
     return manifest, arrays

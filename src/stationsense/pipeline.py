@@ -9,9 +9,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
-import struct
-import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple, dataclass, field, fields, is_dataclass
 from typing import Callable, List, Optional, Sequence, Tuple, get_type_hints
@@ -19,6 +16,7 @@ from typing import Callable, List, Optional, Sequence, Tuple, get_type_hints
 import numpy as np
 
 from .core import RandomStream
+from .nnkit import read_bundle, write_bundle
 from .synth import CsiStream, Scenario, Trajectory, gen_trajectory, station_stream
 
 DEGENERATE_POWER_FLOOR = 1e-12
@@ -344,121 +342,44 @@ def build_datasets(
 # serialization
 # ---------------------------------------------------------------------------
 
-_MAGIC = b"MSDS"
-_FORMAT_VERSION = 1
-_SPLIT_CODES = {"train": 0, "val": 1, "test": 2, "unlabeled": 3}
-_SPLIT_NAMES = {v: k for k, v in _SPLIT_CODES.items()}
+_SPLITS = ("train", "val", "test", "unlabeled")
+# a dataset file's arrays: each one's dtype and how many of x's (n, N_d, K) axes it has
+_ARRAYS = {"x": ("<f4", 3), "missing": ("|b1", 2), "timestamps": ("<f8", 1), "labels": ("<f4", 1)}
 
 
 class DatasetFormatError(Exception):
     pass
 
 
-_HEADER = struct.Struct("<IIIQBB16sQ")
-_IO_CHUNK_BYTES = 1 << 22
-
-
-def _record_dtype(n_d: int, k: int, labeled: bool) -> np.dtype:
-    """One sample's record: amplitudes, missing flags, then the label if any."""
-    fields = [("x", "<f4", (n_d, k)), ("m", "u1", (n_d,))]
-    if labeled:
-        fields.append(("y", "<f4"))
-    return np.dtype(fields)
-
-
-def _write(f, part, crc: int) -> int:
-    f.write(part)
-    return zlib.crc32(part, crc)
-
-
-def _read_into(f, view: memoryview, crc: int) -> int:
-    if f.readinto(view) != len(view):
-        raise DatasetFormatError("truncated dataset file")
-    return zlib.crc32(view, crc)
-
-
 def save_dataset(d: Dataset, path) -> None:
-    """Versioned binary file: header, float32 records (amplitudes, missing
-    flags, optional label per sample), timestamps, trailing CRC32. Records
-    are encoded _IO_CHUNK_BYTES at a time, so the file is never held in
-    memory."""
-    if d.split not in _SPLIT_CODES:
-        raise ValueError(f"cannot store split {d.split!r}, expected one of {tuple(_SPLIT_CODES)}")
-    shash = bytes.fromhex(d.provenance.get("scenario_hash", "0" * 32))
-    seed = int(d.provenance.get("seed", 0))
-    header = _MAGIC + _HEADER.pack(
-        _FORMAT_VERSION,
-        d.n_stations,
-        d.k,
-        d.n,
-        1 if d.labeled else 0,
-        _SPLIT_CODES[d.split],
-        shash,
-        seed,
-    )
-    rec = _record_dtype(d.n_stations, d.k, d.labeled)
-    step = max(1, _IO_CHUNK_BYTES // rec.itemsize)
-    with open(path, "wb") as f:
-        crc = _write(f, header, 0)
-        for lo in range(0, d.n, step):
-            chunk = np.empty(min(step, d.n - lo), rec)
-            chunk["x"] = d.x[lo : lo + step]
-            chunk["m"] = d.missing[lo : lo + step]
-            if d.labeled:
-                chunk["y"] = d.labels[lo : lo + step]
-            crc = _write(f, chunk, crc)
-        crc = _write(f, np.ascontiguousarray(d.timestamps, dtype="<f8"), crc)
-        f.write(struct.pack("<I", crc))
+    """One nnkit bundle: a manifest with the split and the provenance, which
+    must be JSON-serializable, and the arrays named in _ARRAYS."""
+    if d.split not in _SPLITS:
+        raise ValueError(f"cannot store split {d.split!r}, expected one of {_SPLITS}")
+    arrays = {name: np.asarray(getattr(d, name), dtype) for name, (dtype, _) in _ARRAYS.items()
+              if getattr(d, name) is not None}
+    write_bundle(path, {"type": "dataset", "split": d.split, "provenance": d.provenance}, arrays)
 
 
 def load_dataset(path) -> Dataset:
-    """Read a save_dataset file. The file size is checked against the header
-    before any record is read; records are then decoded _IO_CHUNK_BYTES at a
-    time straight into the returned arrays, with a running CRC32."""
-    head = len(_MAGIC) + _HEADER.size
-    with open(path, "rb") as f:
-        size = os.fstat(f.fileno()).st_size
-        header = f.read(head)
-        if size < head + 4 or header[:4] != _MAGIC:
-            raise DatasetFormatError("not a dataset file (bad magic or truncated)")
-        version, n_d, k, n, labeled, split_code, shash, seed = _HEADER.unpack_from(header, 4)
-        if version != _FORMAT_VERSION:
-            raise DatasetFormatError(f"unsupported format version {version}")
-        if split_code not in _SPLIT_NAMES:
-            raise DatasetFormatError(f"unknown split code {split_code}")
-        rec = _record_dtype(n_d, k, bool(labeled))
-        payload, expected = size - head - 4, n * rec.itemsize + n * 8
-        if payload != expected:
+    """Read a save_dataset file into private, writable arrays. Any other file,
+    and a dataset whose split, arrays, dtypes or shapes are off, raises
+    DatasetFormatError."""
+    manifest, arrays = read_bundle(path, DatasetFormatError)
+    if manifest.get("type") != "dataset":
+        raise DatasetFormatError(f"expected a dataset file, found {manifest.get('type')!r}")
+    if manifest.get("split") not in _SPLITS:
+        raise DatasetFormatError(f"unknown split {manifest.get('split')!r}")
+    if not {"x", "missing", "timestamps"} <= set(arrays) <= set(_ARRAYS):
+        raise DatasetFormatError(f"arrays {sorted(arrays)}, expected {sorted(_ARRAYS)} (labels optional)")
+    x = arrays["x"]
+    for name, a in arrays.items():
+        dtype, axes = _ARRAYS[name]
+        if a.dtype != dtype or a.ndim != axes or a.shape != x.shape[:axes]:
             raise DatasetFormatError(
-                f"payload size {payload} does not match header (expected {expected})"
-            )
-        x = np.empty((n, n_d, k), np.float32)
-        missing = np.empty((n, n_d), bool)
-        labels = np.empty(n, np.float32) if labeled else None
-        timestamps = np.empty(n, "<f8")
-        step = max(1, _IO_CHUNK_BYTES // rec.itemsize)
-        buf = memoryview(bytearray(min(n, step) * rec.itemsize))
-        crc = zlib.crc32(header)
-        for lo in range(0, n, step):
-            view = buf[: min(step, n - lo) * rec.itemsize]
-            crc = _read_into(f, view, crc)
-            chunk = np.frombuffer(view, rec)
-            x[lo : lo + step] = chunk["x"]
-            missing[lo : lo + step] = chunk["m"]
-            if labeled:
-                labels[lo : lo + step] = chunk["y"]
-        crc = _read_into(f, memoryview(timestamps).cast("B"), crc)
-        (crc_stored,) = struct.unpack("<I", f.read(4))
-    if crc != crc_stored:
-        raise DatasetFormatError("checksum failure")
-    return Dataset(
-        split=_SPLIT_NAMES[split_code],
-        x=x,
-        missing=missing,
-        labels=labels,
-        timestamps=timestamps,
-        provenance={"scenario_hash": shash.hex(), "seed": seed},
-    )
+                f"array {name!r}: {a.dtype.str} {a.shape}, expected {dtype} {x.shape[:axes]}")
+    return Dataset(manifest["split"], x, arrays["missing"], arrays.get("labels"), arrays["timestamps"],
+                   manifest.get("provenance", {}))
 
 
 def export_csv(d: Dataset, path) -> None:

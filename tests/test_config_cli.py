@@ -168,7 +168,8 @@ class TestCli:
         prov = {"scenario_hash": scenario_hash(cfg.scenario), "seed": 0}
         for want in ss.build_datasets(cfg.scenario, cfg.windowing, 0):
             got = ss.load_dataset(data_dir / f"{want.split}.bin")
-            assert got.split == want.split and got.provenance == prov
+            # the CLI adds the run's hash and seed to the built split's provenance
+            assert got.split == want.split and got.provenance == {**want.provenance, **prov}
             for name in ("x", "missing", "labels", "timestamps"):
                 a, b = getattr(got, name), getattr(want, name)
                 assert (a is None and b is None) or a.tobytes() == b.tobytes(), (want.split, name)

@@ -431,6 +431,20 @@ class TestRunGrid:
         with pytest.raises(ValueError):
             train_method("nope", train, None, ss.TrainSettings(), 0)
 
+    def test_checkpoint_methods_are_the_ones_saved_without_unlabeled_data(self, tmp_path):
+        # the CLI's train offers exactly the methods whose model it can save
+        train, saved = tiny_dataset(n=32, n_d=3, k=4), []
+        fx = ss.build_extractor(3, 4, ss.RandomStream(0, "fx"), embedding_dim=8, aggregator_hidden=(16,))
+        for name in ss.METHODS:
+            given = fx if name in harness._EXTRACTOR_METHODS else None
+            try:
+                model = train_method(name, train, None, _tiny_settings(), 0, extractor=given)
+                ss.save_checkpoint(model, tmp_path / f"{name}.ck")
+            except (ValueError, TypeError):  # needs unlabeled data, or not a SensingModel
+                continue
+            saved.append(name)
+        assert sorted(saved) == sorted(harness._CHECKPOINT_METHODS)
+
     def test_ssl_methods_require_unlabeled(self, small_datasets):
         train = small_datasets[0]
         for name in ("dae", "crossl", "proposed", "inpaint"):

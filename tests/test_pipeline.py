@@ -2,8 +2,11 @@
 
 import hashlib
 import inspect
+import json
+import struct
 import threading
 import tracemalloc
+import zlib
 from dataclasses import replace
 
 import numpy as np
@@ -14,6 +17,7 @@ from hypothesis import strategies as st
 import stationsense as ss
 from stationsense import pipeline
 from stationsense.config import config_from_dict
+from stationsense.nnkit import write_bundle
 from stationsense.pipeline import (
     DEFAULT_DROP_64,
     DatasetFormatError,
@@ -556,12 +560,23 @@ def _golden_datasets():
     return labeled, unlabeled
 
 
-# sha256 of format-v1 files for _golden_datasets(), as written by the
-# original per-record encoder
+# sha256 of the bundle files (nnkit.write_bundle) for _golden_datasets()
 _GOLDEN_SHA256 = {
-    "val": "39a16e7a26227846cb187250df917585e2106b4b4fef1c841003a461e119085d",
-    "unlabeled": "cab4cd43cb6ea8a68e9ed24beb5106e2d60a7ffa8937b0d1c42bde6795ce4242",
+    "val": "75a7eceec743741b5e255d512e027d87654538a4425091ef584fe0bf678cec9f",
+    "unlabeled": "99e011d72be762347f1f3aaaadc60bcdc800ace56d186bd88a0f87a2d5ab906e",
 }
+
+
+def _resealed(path, edit):
+    """Let `edit` change a saved bundle's JSON header (manifest and array
+    table), then re-seal the CRC, so only the loader's checks can object."""
+    raw = path.read_bytes()
+    (doc_len,) = struct.unpack_from("<I", raw, 8)
+    doc = json.loads(raw[12 : 12 + doc_len])
+    edit(doc)
+    new = json.dumps(doc).encode()
+    body = raw[:8] + struct.pack("<I", len(new)) + new + raw[12 + doc_len : -4]
+    path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
 
 
 class TestDatasetSerialization:
@@ -571,6 +586,7 @@ class TestDatasetSerialization:
             ss.save_dataset(d, p)
             assert hashlib.sha256(p.read_bytes()).hexdigest() == _GOLDEN_SHA256[d.split]
             back = ss.load_dataset(p)
+            assert back.split == d.split and back.provenance == d.provenance
             for name in ("x", "missing", "labels", "timestamps"):
                 a, b = getattr(d, name), getattr(back, name)
                 if a is None:
@@ -580,24 +596,12 @@ class TestDatasetSerialization:
                 # private, writable arrays, not views into the file buffer
                 assert b.flags.writeable and b.flags.c_contiguous and b.base is None
 
-    def test_chunked_codec_bytes_and_round_trip(self, tmp_path, monkeypatch):
-        # chunks of one, two and more records write the same bytes and read back
-        for chunk in (1, 50, 123, 1 << 22):
-            monkeypatch.setattr(pipeline, "_IO_CHUNK_BYTES", chunk)
-            for d in _golden_datasets():
-                p = tmp_path / f"{d.split}-{chunk}.bin"
-                ss.save_dataset(d, p)
-                assert hashlib.sha256(p.read_bytes()).hexdigest() == _GOLDEN_SHA256[d.split]
-                back = ss.load_dataset(p)
-                assert np.array_equal(back.x, d.x) and np.array_equal(back.missing, d.missing)
-
-    def test_load_holds_one_chunk_not_the_file(self, tmp_path, monkeypatch):
+    def test_load_holds_one_chunk_not_the_file(self, tmp_path):
         gen = np.random.default_rng(0)
         x = gen.random((3000, 8, 52)).astype(np.float32)
         d = ss.Dataset("unlabeled", x, gen.random((3000, 8)) < 0.1, None, np.arange(3000.0))
         p = tmp_path / "big.bin"
         ss.save_dataset(d, p)
-        monkeypatch.setattr(pipeline, "_IO_CHUNK_BYTES", 1 << 16)
         tracemalloc.start()
         try:
             back = ss.load_dataset(p)
@@ -633,6 +637,20 @@ class TestDatasetSerialization:
         assert back.provenance["scenario_hash"] == train.provenance["scenario_hash"]
         assert back.provenance["seed"] == 7
 
+    def test_provenance_round_trips_as_it_is(self, tmp_path):
+        # a built split carries only its split ratios; nothing is dropped or invented
+        splits = ss.build_datasets(replace(ss.desk_scenario(), duration_s=60.0), ss.desk_windowing(), 0)
+        for d in splits:
+            p = tmp_path / f"{d.split}.bin"
+            ss.save_dataset(d, p)
+            back = ss.load_dataset(p)
+            assert back.split == d.split and back.provenance == d.provenance
+            for name in ("x", "missing", "labels", "timestamps"):
+                a, b = getattr(d, name), getattr(back, name)
+                assert (a is None and b is None) or (a.tobytes() == b.tobytes() and a.dtype == b.dtype)
+        assert splits[0].provenance == {"split_ratios": [7.0, 1.5, 1.5]}
+        assert splits[3].provenance == {}
+
     def test_unlabeled_round_trip(self, small_datasets, tmp_path):
         unlabeled = small_datasets[3]
         p = tmp_path / "u.bin"
@@ -655,40 +673,74 @@ class TestDatasetSerialization:
         p.write_bytes(b"NOPE" + b"\0" * 100)
         with pytest.raises(DatasetFormatError, match="magic|truncated"):
             ss.load_dataset(p)
-
-    def test_header_payload_mismatch_rejected(self, small_datasets, tmp_path):
-        import struct
-        import zlib
-
-        p = tmp_path / "d.bin"
-        ss.save_dataset(small_datasets[0], p)
-        raw = bytearray(p.read_bytes())
-        # bump the station count in the header, then re-seal the checksum so
-        # only the structural check can catch it
-        n_d = struct.unpack_from("<I", raw, 8)[0]
-        struct.pack_into("<I", raw, 8, n_d + 1)
-        struct.pack_into("<I", raw, len(raw) - 4, zlib.crc32(bytes(raw[:-4])))
-        p.write_bytes(bytes(raw))
-        with pytest.raises(DatasetFormatError, match="size"):
+        # a file of the earlier record format names the magic it found
+        p.write_bytes(b"MSDS" + b"\0" * 100)
+        with pytest.raises(DatasetFormatError, match="magic b'MSDS'"):
             ss.load_dataset(p)
 
-    def test_unknown_split_rejected(self, small_datasets, tmp_path):
-        import struct
-        import zlib
+    def test_header_payload_mismatch_rejected(self, small_datasets, tmp_path):
+        p = tmp_path / "d.bin"
+        for step in (1, -1):
+            ss.save_dataset(small_datasets[0], p)
 
+            def restation(doc):
+                (x,) = [e for e in doc["arrays"] if e["name"] == "x"]
+                x["shape"][1] += step
+
+            _resealed(p, restation)  # the table now claims more, or fewer, bytes than the file holds
+            with pytest.raises(DatasetFormatError, match="truncated|size"):
+                ss.load_dataset(p)
+
+    def test_unknown_split_rejected(self, small_datasets, tmp_path):
         p = tmp_path / "d.bin"
         holdout = replace(small_datasets[0], split="holdout")
         with pytest.raises(ValueError, match="holdout"):
             ss.save_dataset(holdout, p)
         assert not p.exists()
         ss.save_dataset(small_datasets[0], p)
-        raw = bytearray(p.read_bytes())
-        # a split code no name maps to, with the checksum re-sealed
-        struct.pack_into("<B", raw, 25, 7)
-        struct.pack_into("<I", raw, len(raw) - 4, zlib.crc32(bytes(raw[:-4])))
-        p.write_bytes(bytes(raw))
+        _resealed(p, lambda doc: doc["manifest"].update(split="holdout"))
         with pytest.raises(DatasetFormatError, match="split"):
             ss.load_dataset(p)
+
+    def test_arrays_that_disagree_are_rejected(self, tmp_path):
+        d = _golden_datasets()[0]
+        good = {"x": d.x, "missing": d.missing, "labels": d.labels, "timestamps": d.timestamps}
+        manifest = {"type": "dataset", "split": "val", "provenance": {}}
+        p = tmp_path / "d.bin"
+        for edit, match in (
+            ({"missing": d.missing[:, :2]}, "missing"),  # N_d disagrees with x
+            ({"labels": d.labels[:4]}, "labels"),  # n disagrees with x
+            ({"x": d.x[..., 0]}, "'x'"),  # no K axis
+            ({"timestamps": d.timestamps.astype(np.float32)}, "timestamps"),
+            ({"x": d.x.astype(np.float64)}, "'x'"),
+            ({"extra": d.labels}, "extra"),
+        ):
+            write_bundle(p, manifest, {**good, **edit})
+            with pytest.raises(DatasetFormatError, match=match):
+                ss.load_dataset(p)
+        write_bundle(p, manifest, {k: v for k, v in good.items() if k != "timestamps"})
+        with pytest.raises(DatasetFormatError, match="timestamps"):
+            ss.load_dataset(p)
+
+    def test_missing_flags_must_be_bytes_0_or_1(self, tmp_path):
+        d = _golden_datasets()[0]
+        flags = d.missing.view(np.uint8).copy()
+        flags[2, 1] = 2  # write_bundle seals this byte into the CRC
+        p = tmp_path / "d.bin"
+        write_bundle(p, {"type": "dataset", "split": "val", "provenance": {}},
+                     {"x": d.x, "missing": flags.view(bool), "labels": d.labels,
+                      "timestamps": d.timestamps})
+        with pytest.raises(DatasetFormatError, match="missing"):
+            ss.load_dataset(p)
+
+    def test_checkpoints_and_datasets_are_told_apart(self, tmp_path):
+        dataset, checkpoint = tmp_path / "d.bin", tmp_path / "fx.ck"
+        ss.save_dataset(_golden_datasets()[0], dataset)
+        ss.save_checkpoint(ss.build_extractor(3, 4, ss.RandomStream(0, "fx")), checkpoint)
+        with pytest.raises(DatasetFormatError, match="feature_extractor"):
+            ss.load_dataset(checkpoint)
+        with pytest.raises(ss.CheckpointError, match="'dataset'"):
+            ss.load_checkpoint(dataset)
 
     def test_export_csv_row_count(self, small_datasets, tmp_path):
         train = small_datasets[0]

@@ -1,5 +1,5 @@
-"""Deterministic RNG streams, station-mask sampling and the one-BLAS-thread
-pin that fits and evaluations run under.
+"""Deterministic RNG streams, station-mask sampling, the one-BLAS-thread
+pin that fits and evaluations run under, and the two lanes they share.
 
 Every stage (simulation, dataset building, training, evaluation) draws its
 randomness from a labeled `RandomStream`, so a seed reproduces a run bitwise.
@@ -11,6 +11,7 @@ import ctypes
 import functools
 import threading
 import zlib
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 
 import numpy as np
@@ -120,3 +121,44 @@ def _one_blas_thread():
             _pin_depth -= 1
             if _pin_depth == 0:
                 set_(_pin_restore)
+
+
+class _Lanes:
+    """Two lanes, the calling thread and one worker thread, held for a `with`
+    block: the one place the package starts a thread, and none outlives the
+    block. `map(fn, items)` is `[fn(item) for item in items]`, bit for bit:
+    both lanes take items from one queue and each result has its own slot.
+    The caller takes back the worker's job if it has not started, so it never
+    waits on an idle thread. The first item that raises stops both lanes from
+    starting another; once the worker's current item is done, it is raised
+    (if both lanes raise: an interrupt, else the earlier item's, as a loop)."""
+
+    def __enter__(self):
+        self._worker = ThreadPoolExecutor(1)
+        return self
+
+    def __exit__(self, *exc):
+        self._worker.shutdown(cancel_futures=True)
+
+    def map(self, fn, items):
+        items = list(items)
+        results, failures = [None] * len(items), []
+        todo, take = iter(range(len(items))), threading.Lock()
+
+        def lane():
+            while not failures:
+                with take:
+                    i = next(todo, None)
+                if i is None:
+                    return
+                try:
+                    results[i] = fn(items[i])
+                except BaseException as exc:
+                    failures.append((i, exc))
+
+        other = self._worker.submit(lane)
+        lane()
+        other.cancel() or other.result()  # take back a job the worker has not begun, or wait for it
+        if failures:
+            raise min(failures, key=lambda f: (isinstance(f[1], Exception), f[0]))[1]
+        return results

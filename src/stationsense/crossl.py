@@ -12,13 +12,12 @@ one batched forward (and one backward) for all stations.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .core import RandomStream, sample_mask_matrix
+from .core import RandomStream, _Lanes, sample_mask_matrix
 from .nnkit import FitResult, HeldStats, MlpStack, TrainConfig, fit_loop, mlp_blocks
 from .pipeline import Dataset
 
@@ -221,51 +220,32 @@ def pretrain(
     applied at the embedding level; both masked views pass through the shared
     aggregator.
 
-    The two views' aggregator passes run on two lanes: view 2's forward (and
-    later its backward) goes to one worker thread while the calling thread
-    runs view 1's, and the calling thread runs view 2's itself when the
-    worker has not started it. View 2 holds its batch-norm running-statistic
-    updates until view 1 has written its own, and the gradients are summed
-    view 1 first, so the fit is bit for bit that of running the views one
-    after the other. The worker is joined before pretrain returns or raises."""
+    Each step's two aggregator forwards, then its two backwards, are one
+    `core._Lanes.map` on lanes held for the whole fit. View 2 holds its
+    batch-norm running-statistic updates until view 1 has written its own, and
+    the gradients are summed view 1 first: the fit is bit for bit one lane's."""
     if unlabeled.n < 2:
         raise ValueError("pre-training requires at least 2 unlabeled samples")
     if not (0.0 <= p_mask <= 1.0):
         raise ValueError(f"p_mask must be in [0, 1], got {p_mask}")
     x_all = unlabeled.x.astype(np.float32)
-    n_d = fx.n_stations
-    lane = ThreadPoolExecutor(1)
-
-    def both_views(fn, view1, view2):
-        """(fn(*view1), fn(*view2)), view 2 on the worker unless it has not
-        started by the time view 1 is done."""
-        second = lane.submit(fn, *view2)
-        first = fn(*view1)
-        return first, (fn(*view2) if second.cancel() else second.result())
 
     def step(idx, srng):
-        xb = x_all[idx]
-        n = len(idx)
-        q, enc_caches = fx.encode_batch(xb, "train", srng.child("enc"))
-        m1 = sample_mask_matrix(p_mask, n, n_d, srng.child("mask1"))
-        m2 = sample_mask_matrix(p_mask, n, n_d, srng.child("mask2"))
-        keep1 = (~m1)[:, :, None]
-        keep2 = (~m2)[:, :, None]
+        q, enc_caches = fx.encode_batch(x_all[idx], "train", srng.child("enc"))
+        keep1, keep2 = (~sample_mask_matrix(p_mask, len(idx), fx.n_stations, srng.child(f"mask{v}"))[:, :, None]
+                        for v in (1, 2))
         held = HeldStats()
-        (z1, c1), (z2, c2) = both_views(
-            fx.aggregate_batch,
+        (z1, c1), (z2, c2) = lanes.map(lambda view: fx.aggregate_batch(*view), [
             (q * keep1, "train", srng.child("agg1")),
             (q * keep2, "train", srng.child("agg2"), held),
-        )
+        ])
         held.apply()
         loss, dz1, dz2 = vicreg_loss_grads(z1, z2, w)
-        (dq1, g1), (dq2, g2) = both_views(fx.aggregate_backward, (c1, dz1), (c2, dz2))
+        (dq1, g1), (dq2, g2) = lanes.map(lambda view: fx.aggregate_backward(*view), [(c1, dz1), (c2, dz2)])
         grads = {k: g1[k] + g2[k] for k in g1}
         dq = dq1 * keep1 + dq2 * keep2
         grads.update(fx.encode_backward(enc_caches, dq))
         return loss, grads
 
-    try:
+    with _Lanes() as lanes:
         return fit_loop(fx.params(), step, unlabeled.n, tc, rng.child("pretrain"), fx.buffers())
-    finally:
-        lane.shutdown(cancel_futures=True)

@@ -8,16 +8,14 @@ import csv
 import hashlib
 import itertools
 import math
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, astuple, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import RandomStream, _one_blas_thread
+from .core import RandomStream, _Lanes, _one_blas_thread
 from .crossl import (
     FeatureExtractor,
     VicregWeights,
@@ -329,15 +327,11 @@ def eval_at_availability(
     the combination cap); monte_carlo: n_draws uniform random combinations,
     drawn before any is evaluated. Per-combination RMSEs are averaged.
 
-    The combinations run on two lanes, the calling thread and one worker
-    thread, which take them in turn from one shared queue. So `model.predict`
-    is called from two threads at once, and must only read the model (every
-    stationsense model does in eval mode). Each combination masks its own
-    copy of the test inputs and keeps its RMSE in its own slot, and the mean
-    is taken in combination order, so the result is bit for bit that of one
-    lane. A combination that raises stops both lanes from starting another,
-    and it is raised once the worker is joined. The lanes run with OpenBLAS
-    on one thread (`core._one_blas_thread`, process-wide)."""
+    The combinations are one `core._Lanes.map`, so `model.predict` is called
+    from two threads at once and must only read the model (every
+    stationsense model does in eval mode); each combination masks its own
+    copy of the test inputs. The mean, in combination order, is bit for bit
+    that of one lane. OpenBLAS runs on one thread (`core._one_blas_thread`)."""
     n_d = test.n_stations
     if not (1 <= k <= n_d):
         raise ValueError(f"k must be in [1, {n_d}], got {k}")
@@ -356,27 +350,8 @@ def eval_at_availability(
         ]
     else:
         raise ValueError(f"unknown policy {policy}")
-    values = np.empty(len(combos))
-    todo = iter(range(len(combos)))
-    take = threading.Lock()
-    failed = threading.Event()
-
-    def lane():
-        while not failed.is_set():
-            with take:
-                i = next(todo, None)
-            if i is None:
-                return
-            try:
-                values[i] = _masked_rmse(model, test, combos[i])
-            except BaseException:
-                failed.set()
-                raise
-
-    with _one_blas_thread(), ThreadPoolExecutor(1) as worker:
-        other = worker.submit(lane)
-        lane()
-        other.result()
+    with _one_blas_thread(), _Lanes() as lanes:
+        values = lanes.map(lambda combo: _masked_rmse(model, test, combo), combos)
     return float(np.mean(values))
 
 

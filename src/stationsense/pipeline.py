@@ -9,13 +9,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple, dataclass, field, fields, is_dataclass
 from typing import Callable, List, Optional, Sequence, Tuple, get_type_hints
 
 import numpy as np
 
-from .core import RandomStream
+from .core import RandomStream, _Lanes
 from .nnkit import read_bundle, write_bundle
 from .synth import CsiStream, Scenario, Trajectory, gen_trajectory, station_stream
 
@@ -170,22 +169,33 @@ def _reference_centers(duration_s: float, spec: WindowSpec) -> np.ndarray:
 
 
 def _aggregate_all(
-    station: Callable[[int], PreprocessedStream], n_d: int, k: int, centers: np.ndarray, spec: WindowSpec
+    station: Callable[[int], PreprocessedStream], n_d: int, k: int, centers: np.ndarray, spec: WindowSpec,
+    ahead: Optional[Callable[[int], None]] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """(n, N_d, K) float32 window means and (n, N_d) missing flags for the
     windows around `centers`, which may come in any order. `station(d)` gives
-    station d's K-column stream; it is called inside the station loop and its
-    result dropped before the next call, so the peak is the outputs plus one
-    station's working set. The outputs come first: made after station 0's
-    freed temporaries, they raised a 16-station run's peak RSS by 4-9 MB."""
+    station d's K-column stream, dropped before the next call, so the peak is
+    the outputs plus one station's working set. Given `ahead`, windowing
+    station d and ahead(d + 1), but for the last d, are one `core._Lanes.map`;
+    without it no thread starts (one raised `acquire`'s peak RSS by 8 MB).
+    The outputs come first: made after station 0's freed temporaries, they
+    raised a 16-station run's peak RSS by 4-9 MB."""
     x = np.zeros((len(centers), n_d, k), dtype=np.float32)
     missing = np.zeros((len(centers), n_d), dtype=bool)
-    for d in range(n_d):
-        ps = station(d)
+
+    def window(d, ps):
         lo, hi = window_bounds(ps.timestamps, centers, spec.width_s)
         missing[:, d] = hi == lo
         _scan_window_means(ps.amps, lo, hi - lo, x[:, d])
-        del ps  # free this station's amplitudes before the next is built
+
+    with _Lanes() as lanes:
+        for d in range(n_d):
+            ps = station(d)
+            if ahead is None:
+                window(d, ps)
+            else:
+                lanes.map(lambda job: job(), [lambda: window(d, ps), lambda: d + 1 < n_d and ahead(d + 1)])
+            del ps  # free this station's amplitudes before the next is built
     return x, missing
 
 
@@ -311,10 +321,9 @@ def build_datasets(
     unlabeled windows end half a window after the last train center, so both
     sets of centers are known up front: each station is simulated,
     preprocessed and windowed once at both, then dropped. Station d + 1 is
-    simulated on one worker thread while station d is windowed, once d's raw
-    stream has been preprocessed and dropped, so at most one raw stream is
-    held. A run with no train window raises ValueError before any station is
-    simulated."""
+    simulated while station d is windowed, once d's raw stream has been
+    preprocessed and dropped, so at most one raw stream is held. A run with
+    no train window raises ValueError before any station is simulated."""
     spec = windowing.labeled_spec()
     labeled = _reference_centers(scenario.duration_s, spec)
     n_train = split_counts(len(labeled), windowing.split_ratios)[0]
@@ -323,17 +332,9 @@ def build_datasets(
     unlabeled = _reference_centers(labeled[n_train - 1] + spec.width_s / 2, windowing.unlabeled_spec())
     traj, stream = _simulation(scenario, seed)
     keep, n = default_keep_list(scenario.k_raw), len(labeled)
-    with ThreadPoolExecutor(1) as worker:
-        raw = worker.submit(stream, 0)
-
-        def station(d):
-            nonlocal raw
-            ps = preprocess_stream(raw.result(), keep)
-            raw = worker.submit(stream, d + 1) if d + 1 < scenario.n_stations else None
-            return ps
-
-        x, missing = _aggregate_all(station, scenario.n_stations, len(keep),
-                                    np.concatenate([labeled, unlabeled]), spec)
+    raw = [stream(0)]  # the one raw stream held: station d + 1's is simulated while d is windowed
+    x, missing = _aggregate_all(lambda d: preprocess_stream(raw.pop(), keep), scenario.n_stations, len(keep),
+                                np.concatenate([labeled, unlabeled]), spec, lambda d: raw.append(stream(d)))
     splits = _labeled_splits(x, missing, labeled, traj, windowing.split_ratios)
     return splits + (Dataset("unlabeled", x[n:], missing[n:], None, unlabeled),)
 
@@ -352,13 +353,21 @@ class DatasetFormatError(Exception):
 
 
 def save_dataset(d: Dataset, path) -> None:
-    """One nnkit bundle: a manifest with the split and the provenance, which
-    must be JSON-serializable, and the arrays named in _ARRAYS."""
+    """One nnkit bundle: a manifest with the split and the provenance, and the
+    arrays named in _ARRAYS. Numpy scalars in the provenance are stored as
+    their Python values; any other value that is not JSON raises ValueError
+    naming its key, before the file is opened."""
     if d.split not in _SPLITS:
         raise ValueError(f"cannot store split {d.split!r}, expected one of {_SPLITS}")
+    provenance = {}
+    for key, value in d.provenance.items():
+        try:  # np.generic.item gives a numpy scalar's Python value, and raises TypeError on the rest
+            provenance[key] = json.loads(json.dumps(value, default=np.generic.item))
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"provenance {key!r} is not JSON: {exc}") from None
     arrays = {name: np.asarray(getattr(d, name), dtype) for name, (dtype, _) in _ARRAYS.items()
               if getattr(d, name) is not None}
-    write_bundle(path, {"type": "dataset", "split": d.split, "provenance": d.provenance}, arrays)
+    write_bundle(path, {"type": "dataset", "split": d.split, "provenance": provenance}, arrays)
 
 
 def load_dataset(path) -> Dataset:
@@ -370,6 +379,9 @@ def load_dataset(path) -> Dataset:
         raise DatasetFormatError(f"expected a dataset file, found {manifest.get('type')!r}")
     if manifest.get("split") not in _SPLITS:
         raise DatasetFormatError(f"unknown split {manifest.get('split')!r}")
+    provenance = manifest.get("provenance", {})
+    if not isinstance(provenance, dict):
+        raise DatasetFormatError(f"provenance {provenance!r} is not a JSON object")
     if not {"x", "missing", "timestamps"} <= set(arrays) <= set(_ARRAYS):
         raise DatasetFormatError(f"arrays {sorted(arrays)}, expected {sorted(_ARRAYS)} (labels optional)")
     x = arrays["x"]
@@ -379,7 +391,7 @@ def load_dataset(path) -> Dataset:
             raise DatasetFormatError(
                 f"array {name!r}: {a.dtype.str} {a.shape}, expected {dtype} {x.shape[:axes]}")
     return Dataset(manifest["split"], x, arrays["missing"], arrays.get("labels"), arrays["timestamps"],
-                   manifest.get("provenance", {}))
+                   provenance)
 
 
 def export_csv(d: Dataset, path) -> None:

@@ -11,13 +11,12 @@ ever sees (station, timestamp, channel vector) triples.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import List, Tuple
 
 import numpy as np
 
-from .core import RandomStream
+from .core import RandomStream, _Lanes
 
 SPEED_OF_LIGHT = 299792458.0
 _NOISE_ROWS = 512  # rows per noise block; numpy's draws do not depend on the split
@@ -272,19 +271,9 @@ def station_stream(scenario: Scenario, traj: Trajectory, d: int, rng: RandomStre
 
 
 def gen_csi_streams(scenario: Scenario, traj: Trajectory, rng: RandomStream) -> List[CsiStream]:
-    """Every station's station_stream, in station order, simulated two at a
-    time: station d on the calling thread while station d + 1 runs on one
-    worker thread. Station d draws only from rng's "station{d}" children, so
-    the streams are those of a loop over the stations, bit for bit. The peak
-    is the streams returned plus two stations' noise blocks and per-frame
-    vectors. A failing station's exception is raised once the worker is
-    joined, and no station is started after it."""
-    n = scenario.n_stations
-    streams = []
-    with ThreadPoolExecutor(1) as worker:
-        for d in range(0, n, 2):
-            odd = worker.submit(station_stream, scenario, traj, d + 1, rng) if d + 1 < n else None
-            streams.append(station_stream(scenario, traj, d, rng))
-            if odd is not None:
-                streams.append(odd.result())
-    return streams
+    """Every station's station_stream, in station order, as one
+    `core._Lanes.map`. Station d draws only from rng's "station{d}" children,
+    so the streams are a loop's, bit for bit. The peak is the streams
+    returned plus two stations' noise blocks and per-frame vectors."""
+    with _Lanes() as lanes:
+        return lanes.map(lambda d: station_stream(scenario, traj, d, rng), range(scenario.n_stations))

@@ -1,5 +1,5 @@
 """Shared fixtures: one small synthetic run reused across test modules, and
-the fake executors that force each order of the two-lane code."""
+the fake executors that force each order of `core._Lanes`."""
 
 import threading
 from concurrent.futures import Future, ThreadPoolExecutor
@@ -46,14 +46,14 @@ def random_batch(gen: np.random.Generator, n=1, n_d=8, k=52, missing=()):
 
 
 # ---------------------------------------------------------------------------
-# lanes: stand-ins for the one-worker ThreadPoolExecutor of crossl, synth
-# and harness
+# lanes: stand-ins for the one-worker ThreadPoolExecutor of core._Lanes,
+# patched into `core` alone
 # ---------------------------------------------------------------------------
 
 
 class EagerWorker(ThreadPoolExecutor):
     """A lane that returns each future only once its worker has started it,
-    so the calling thread never takes a view back."""
+    so the calling thread never takes back a job the worker has not begun."""
 
     def submit(self, fn, *args, **kwargs):
         started = threading.Event()
@@ -68,7 +68,7 @@ class EagerWorker(ThreadPoolExecutor):
 
 
 class BusyWorker(ThreadPoolExecutor):
-    """A lane whose worker is held busy until shutdown, so every view
+    """A lane whose worker is held busy until shutdown, so every job
     submitted to it is still pending when the calling thread takes it back."""
 
     def __init__(self, max_workers):

@@ -1,7 +1,13 @@
-"""RNG streams, station-mask sampling, input-level station masking, and the
-one-BLAS-thread pin."""
+"""RNG streams, station-mask sampling, input-level station masking, the
+one-BLAS-thread pin and the two lanes."""
 
+import ast
+import sys
 import threading
+import time
+from contextlib import nullcontext
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,10 +15,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stationsense as ss
-from stationsense.core import _one_blas_thread, _openblas_threads, sample_mask_matrix
+from stationsense import core
+from stationsense.core import _Lanes, _one_blas_thread, _openblas_threads, sample_mask_matrix
 from stationsense.downstream import sma_augment_batch
 
-from conftest import random_batch
+from conftest import BusyWorker, DeferredWorker, EagerWorker, InlineWorker, random_batch
 from oracles import mask_set_draws
 
 
@@ -265,3 +272,177 @@ class TestOneBlasThread:
             with _one_blas_thread():
                 raise KeyError("body")
         assert blas() == 2
+
+
+# ---------------------------------------------------------------------------
+# the two lanes
+# ---------------------------------------------------------------------------
+
+ALL_LANES = [InlineWorker, DeferredWorker, EagerWorker, BusyWorker, ThreadPoolExecutor]
+# the stand-ins that run every item on one lane: the worker's (InlineWorker,
+# inside submit) or the caller's
+ONE_LANE = [InlineWorker, DeferredWorker, BusyWorker]
+
+
+class TestLanes:
+    @pytest.fixture(params=ALL_LANES, ids=lambda lane: lane.__name__)
+    def lane(self, request, monkeypatch):
+        monkeypatch.setattr(core, "ThreadPoolExecutor", request.param)
+        return request.param
+
+    def test_results_come_back_in_item_order(self, lane):
+        with _Lanes() as lanes:
+            assert lanes.map(lambda i: i * i, range(50)) == [i * i for i in range(50)]
+            assert lanes.map(str, []) == []
+            assert lanes.map(str, [7]) == ["7"]
+
+    @pytest.mark.parametrize("lane", [EagerWorker, ThreadPoolExecutor], indirect=True)
+    def test_a_later_item_that_finishes_first_keeps_its_slot(self, lane):
+        # item 0 waits for item 1 to finish, so the other lane must run item 1
+        done, threads = threading.Event(), {}
+
+        def job(i):
+            threads[i] = threading.current_thread()
+            if i == 0:
+                assert done.wait(30)
+            else:
+                done.set()
+            return i
+
+        with _Lanes() as lanes:
+            assert lanes.map(job, [0, 1]) == [0, 1]
+        assert threads[0] is not threads[1]
+
+    @pytest.mark.parametrize("lane", ONE_LANE, indirect=True)
+    def test_a_failure_starts_no_later_item(self, lane):
+        started = []
+
+        def job(i):
+            started.append(i)
+            if i == 3:
+                raise FloatingPointError(f"item {i}")
+            return i
+
+        with _Lanes() as lanes:
+            with pytest.raises(FloatingPointError, match="item 3"):
+                lanes.map(job, range(8))
+            assert lanes.map(job, [0, 1]) == [0, 1]  # the lanes stay usable
+        assert started == [0, 1, 2, 3, 0, 1]
+
+    @pytest.mark.parametrize("lane", [EagerWorker, ThreadPoolExecutor], indirect=True)
+    @pytest.mark.parametrize("failing", [0, 1])
+    def test_a_failure_on_either_lane_is_raised_after_the_other_lanes_item(self, lane, failing):
+        # items 0 and 1 run at once, one per lane; `failing` raises as soon
+        # as both have started, the other finishes later, and no item after
+        # them starts
+        barrier, started, finished = threading.Barrier(2, timeout=30), [], []
+
+        def job(i):
+            started.append(i)
+            if i < 2:
+                barrier.wait()
+                if i == failing:
+                    raise FloatingPointError(f"item {i}")
+                time.sleep(0.2)
+            finished.append(i)
+
+        with _Lanes() as lanes:
+            with pytest.raises(FloatingPointError, match=f"item {failing}"):
+                lanes.map(job, range(8))
+        assert sorted(started) == [0, 1] and finished == [1 - failing]
+
+    @pytest.mark.parametrize("lane", [EagerWorker, ThreadPoolExecutor], indirect=True)
+    @pytest.mark.parametrize("first", [0, 1])
+    def test_when_both_lanes_fail_the_earlier_item_is_raised(self, lane, first):
+        # items 0 and 1 run at once and both raise, `first` before the other
+        barrier = threading.Barrier(2, timeout=30)
+
+        def job(i):
+            barrier.wait()
+            if i != first:
+                time.sleep(0.2)
+            raise FloatingPointError(f"item {i}")
+
+        with _Lanes() as lanes:
+            with pytest.raises(FloatingPointError, match="item 0"):
+                lanes.map(job, range(4))
+
+    @pytest.mark.parametrize("lane", [EagerWorker, ThreadPoolExecutor], indirect=True)
+    def test_when_both_lanes_fail_an_interrupt_is_raised_first(self, lane):
+        barrier = threading.Barrier(2, timeout=30)
+
+        def job(i):
+            barrier.wait()
+            raise KeyboardInterrupt if i == 1 else FloatingPointError(f"item {i}")
+
+        with _Lanes() as lanes:
+            with pytest.raises(KeyboardInterrupt):
+                lanes.map(job, range(4))
+
+    @pytest.mark.parametrize("lane", [DeferredWorker, BusyWorker], indirect=True)
+    def test_the_caller_takes_back_a_job_the_worker_has_not_started(self, lane):
+        caller = threading.current_thread()
+        start = time.monotonic()
+        with _Lanes() as lanes:
+            ran_on = lanes.map(lambda i: threading.current_thread(), range(6))
+            if lane is BusyWorker:  # map returned while the worker was still held busy
+                assert not lanes._worker.release.is_set() and time.monotonic() - start < 30
+        assert ran_on == [caller] * 6
+
+    def test_stress_with_fast_thread_switches(self):
+        # two maps at once from two threads, four threads on the CPUs: every
+        # item runs exactly once and lands in its own slot
+        n, runs, got = 2000, [[0] * 2000 for _ in range(2)], {}
+
+        def job(t, i):
+            runs[t][i] += 1
+            return i
+
+        def run(t):
+            with _Lanes() as lanes:
+                got[t] = lanes.map(lambda i: job(t, i), range(n))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(t,)) for t in range(2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == {0: list(range(n)), 1: list(range(n))} and runs == [[1] * n] * 2
+
+    @pytest.mark.parametrize("raising", ["item", "block", None])
+    def test_no_thread_outlives_the_block(self, lane, raising):
+        before = set(threading.enumerate())
+
+        def job(i):
+            if raising == "item" and i == 2:
+                raise FloatingPointError("item")
+            return i
+
+        with pytest.raises(FloatingPointError) if raising else nullcontext():
+            with _Lanes() as lanes:
+                lanes.map(job, range(5))
+                if raising == "block":
+                    raise FloatingPointError("block")
+        assert set(threading.enumerate()) == before
+
+
+def test_only_core_starts_a_thread():
+    # every lane of the package goes through core._Lanes: no other module
+    # names a thread pool or a thread
+    src = Path(core.__file__).parent
+    offenders = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "core.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = {getattr(node, "id", None), getattr(node, "attr", None)}
+            names |= {alias.name for alias in getattr(node, "names", [])}
+            if names & {"ThreadPoolExecutor", "ProcessPoolExecutor", "Thread", "_thread", "concurrent.futures"}:
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []

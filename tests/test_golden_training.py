@@ -1,6 +1,7 @@
 """Golden hashes of the training maths: the loss and every gradient of one
 pre-training step and one joint downstream step, one eval embedding, and the
-predictions of every trained method that `train_method` builds.
+predictions of every trained method that `train_method` builds; and the
+precision envelope of the two steps against their float64 casts.
 
 Each step is the real step body of `pretrain` or `train_downstream`: the
 module's `fit_loop` is replaced by one that calls the step once on a fixed
@@ -90,6 +91,50 @@ class TestGoldenTraining:
         z = fx.embed(x[:17], "eval")
         assert z.dtype == np.float32 and z.shape == (17, 8)
         assert _digest(0.0, {"z": z, **fx.buffers()}) == self.GOLDEN_SHA256["embed"]
+
+
+def _relative_error(got, want):
+    """Norm-wise relative error of `got` against the float64 `want`."""
+    want = np.asarray(want, np.float64)
+    return float(np.linalg.norm(np.asarray(got, np.float64) - want) / np.linalg.norm(want))
+
+
+class TestPrecisionEnvelope:
+    """The loss and every gradient of one real step of the float32 model,
+    against the same step of its float64 cast on the same batch and streams.
+    Unlike the hashes above, this admits a change of precision that keeps the
+    step's maths: it bounds how far the float32 step may drift. Each bound
+    is about 10x the largest error measured on x86-64 with numpy's OpenBLAS
+    (noted per bound)."""
+
+    LOSS_BOUND = 1e-6  # measured 7.2e-8 (pretrain) and 2.4e-8 (downstream)
+    GRAD_BOUND = 1e-5  # measured at most 1.4e-6 (pretrain) and 1.0e-6 (downstream)
+
+    def _check(self, step32, step64):
+        (loss32, grads32), (loss64, grads64) = step32, step64
+        assert set(grads32) == set(grads64)
+        assert abs(loss32 - loss64) <= self.LOSS_BOUND * abs(loss64)
+        errors = {name: _relative_error(grads32[name], grads64[name]) for name in grads64}
+        assert {name: e for name, e in errors.items() if not e <= self.GRAD_BOUND} == {}
+
+    def test_pretrain_step(self, monkeypatch):
+        def step(fx):
+            return _one_step(monkeypatch, crossl, lambda: ss.pretrain(
+                fx, _dataset("unlabeled", False), 0.5, ss.VicregWeights(),
+                ss.TrainConfig(1e-3, N, 2, 1), ss.RandomStream(0, "golden/pt")))
+
+        fx = _extractor()
+        self._check(step(fx), step(fx.cast(np.float64)))
+
+    def test_joint_downstream_step(self, monkeypatch):
+        def step(fx, head):
+            aug = ss.AugmentConfig(kind="sma", strategy="online", p_aug=0.5)
+            return _one_step(monkeypatch, downstream, lambda: ss.train_downstream(
+                ss.SensingModel(fx, head, "joint"), _dataset("train", True), aug,
+                ss.TrainConfig(1e-3, N, 2, 1), ss.RandomStream(0, "golden/ds")))
+
+        fx, head = _extractor(), ss.build_head(8, ss.RandomStream(0, "golden/head"))
+        self._check(step(fx, head), step(fx.cast(np.float64), head.cast(np.float64)))
 
 
 class TestGoldenMethods:

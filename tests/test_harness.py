@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import stationsense as ss
-from stationsense import harness
+from stationsense import core, harness
 from stationsense.cli import main
 from stationsense.harness import (
     EXHAUSTIVE_COMBINATION_CAP,
@@ -198,7 +198,7 @@ class TestEvalLanes:
         # InlineWorker runs every combination on the worker's lane (inside
         # submit), DeferredWorker every one on the caller's
         models, test = lane_models
-        monkeypatch.setattr(harness, "ThreadPoolExecutor", lane)
+        monkeypatch.setattr(core, "ThreadPoolExecutor", lane)
         args = (models[name], test, 4, policy, 40)
         got = ss.eval_at_availability(*args, ss.RandomStream(3, "mc"))
         assert got == eval_one_lane(*args, ss.RandomStream(3, "mc"))
@@ -237,7 +237,7 @@ class TestEvalLanes:
     def test_a_failing_combination_stops_both_lanes(self, monkeypatch, lane):
         # the 3rd combination fails on the worker's lane (InlineWorker) or the
         # caller's (DeferredWorker); no combination starts after it
-        monkeypatch.setattr(harness, "ThreadPoolExecutor", lane)
+        monkeypatch.setattr(core, "ThreadPoolExecutor", lane)
         model = FailingModel(fail_at=3)
         with pytest.raises(FloatingPointError, match="call 3"):
             ss.eval_at_availability(model, tiny_dataset(), 4, "exhaustive")

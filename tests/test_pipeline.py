@@ -488,8 +488,8 @@ class TestBuildDatasets:
             ss.build_datasets(ss.Scenario(duration_s=2.5), win, 0)
 
     def test_build_datasets_equals_windowing_the_simulated_streams(self):
-        # station d + 1 is simulated on a worker thread while station d is
-        # windowed: the splits equal those built from the run's streams
+        # station d + 1 is simulated while station d is windowed: the splits
+        # equal those built from the run's streams
         scen = replace(ss.desk_scenario(), duration_s=40.0)
         win = ss.desk_windowing()
         traj, station = pipeline._simulation(scen, 3)
@@ -506,9 +506,10 @@ class TestBuildDatasets:
 
     @pytest.mark.parametrize("where", ["simulate", "window"])
     def test_build_datasets_failing_station_raises_and_leaves_no_thread(self, monkeypatch, where):
-        # station 1 fails on the worker (simulating) or on the calling thread
-        # (windowing, while station 2 is simulated): the error is raised once
-        # the worker is joined, and no later station is simulated
+        # station 1 fails while it is simulated, beside station 0's windowing,
+        # or while it is windowed, beside station 2's simulation, which starts
+        # only if a lane took it before the failure: the error is raised once
+        # both lanes are done, and no later station is simulated
         simulate, bounds = pipeline.station_stream, pipeline.window_bounds
         started, windowed = [], []
 
@@ -530,7 +531,7 @@ class TestBuildDatasets:
         with pytest.raises(FloatingPointError, match="station 1"):
             ss.build_datasets(ss.Scenario(duration_s=20.0), ss.desk_windowing(), 0)
         assert threading.active_count() == threads
-        assert started == ([0, 1] if where == "simulate" else [0, 1, 2])
+        assert started in ([[0, 1]] if where == "simulate" else [[0, 1], [0, 1, 2]])
 
     def test_subset_and_sample_views(self, small_datasets):
         train = small_datasets[0]
@@ -701,6 +702,30 @@ class TestDatasetSerialization:
         _resealed(p, lambda doc: doc["manifest"].update(split="holdout"))
         with pytest.raises(DatasetFormatError, match="split"):
             ss.load_dataset(p)
+
+    def test_provenance_that_is_not_an_object_rejected(self, small_datasets, tmp_path):
+        p = tmp_path / "d.bin"
+        ss.save_dataset(small_datasets[0], p)
+        _resealed(p, lambda doc: doc["manifest"].update(provenance=[1, 2]))
+        with pytest.raises(DatasetFormatError, match="provenance"):
+            ss.load_dataset(p)
+
+    def test_numpy_scalars_in_provenance_load_as_python_values(self, tmp_path):
+        d = replace(_golden_datasets()[0], provenance={
+            "seed": np.int64(3), "rate": np.float32(0.5), "ratios": [np.float64(7.0), 1.5], "ok": np.bool_(True)})
+        p = tmp_path / "d.bin"
+        ss.save_dataset(d, p)
+        back = ss.load_dataset(p).provenance
+        assert back == {"seed": 3, "rate": 0.5, "ratios": [7.0, 1.5], "ok": True}
+        assert type(back["seed"]) is int and type(back["ok"]) is bool
+
+    @pytest.mark.parametrize("value", [np.zeros(2), object(), {"nested": {1, 2}}])
+    def test_provenance_that_is_not_json_raises_naming_its_key(self, tmp_path, value):
+        d = replace(_golden_datasets()[0], provenance={"seed": 3, "bad": value})
+        p = tmp_path / "d.bin"
+        with pytest.raises(ValueError, match="'bad'"):
+            ss.save_dataset(d, p)
+        assert not p.exists()
 
     def test_arrays_that_disagree_are_rejected(self, tmp_path):
         d = _golden_datasets()[0]

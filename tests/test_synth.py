@@ -3,19 +3,20 @@
 import hashlib
 import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 import stationsense as ss
-from stationsense import synth
+from stationsense import core, synth
 from stationsense.synth import (
     SPEED_OF_LIGHT,
     _outage_intervals,
     _poisson_arrivals,
 )
 
-from conftest import DeferredWorker, InlineWorker
+from conftest import BusyWorker, DeferredWorker, EagerWorker, InlineWorker
 
 
 class TestScenario:
@@ -302,7 +303,7 @@ class TestTwoLanes:
             return s
 
         monkeypatch.setattr(synth, "station_stream", record)
-        monkeypatch.setattr(synth, "ThreadPoolExecutor", lane)
+        monkeypatch.setattr(core, "ThreadPoolExecutor", lane)
         scen = ss.Scenario(duration_s=5.0)
         traj, rng = ss.gen_trajectory(scen, ss.RandomStream(0, "t")), ss.RandomStream(0, "s")
         streams = ss.gen_csi_streams(scen, traj, rng)
@@ -312,18 +313,35 @@ class TestTwoLanes:
         return finished
 
     def test_station_order_holds_when_the_worker_finishes_first(self, monkeypatch):
-        # each odd station runs inside submit, before its even partner starts
-        assert self._finishing_order(monkeypatch, InlineWorker) == [1, 0, 3, 2, 5, 4, 7, 6]
+        # the worker's lane runs inside submit, so it takes every station
+        # before the calling thread's lane starts
+        assert self._finishing_order(monkeypatch, InlineWorker) == list(range(8))
 
     def test_station_order_holds_when_the_worker_finishes_last(self, monkeypatch):
-        # each odd station runs only when its result is taken
+        # the worker's lane would run only when its result is taken, so the
+        # calling thread takes every station and the worker's job is cancelled
         assert self._finishing_order(monkeypatch, DeferredWorker) == list(range(8))
+
+    @pytest.mark.parametrize("lane", [EagerWorker, BusyWorker])
+    def test_station_order_holds_when_either_lane_may_take_a_station(self, monkeypatch, lane):
+        assert sorted(self._finishing_order(monkeypatch, lane)) == list(range(8))
 
     @pytest.mark.parametrize("failing", [4, 5])
     def test_a_failing_station_raises_and_starts_no_later_station(self, monkeypatch, failing):
-        # stations 4 and 5 run side by side, 4 on the calling thread and 5 on
-        # the worker: either failure is raised once both have finished, and
-        # stations 6 and 7 are never started
+        # the failure is raised once the other lane's station is done, which
+        # may be a later one that lane took before the failing station raised
+        assert self._started_before_failure(monkeypatch, ThreadPoolExecutor, failing)[-1] >= failing
+
+    @pytest.mark.parametrize("lane", [InlineWorker, DeferredWorker])
+    def test_a_failing_station_on_one_lane_starts_no_later_station(self, monkeypatch, lane):
+        # every station runs on the worker's lane (InlineWorker) or on the
+        # calling thread's (DeferredWorker): nothing after station 4 starts
+        assert self._started_before_failure(monkeypatch, lane, 4) == list(range(5))
+
+    @staticmethod
+    def _started_before_failure(monkeypatch, lane, failing):
+        """The stations started, in order, when station `failing` raises under
+        `lane`; checks that the error is raised and leaves no thread."""
         response = synth.channel_response
         started = []
 
@@ -334,13 +352,15 @@ class TestTwoLanes:
             return response(positions, station, scenario)
 
         monkeypatch.setattr(synth, "channel_response", fail_at)
+        monkeypatch.setattr(core, "ThreadPoolExecutor", lane)
         scen = ss.Scenario(duration_s=30.0)
         traj = ss.gen_trajectory(scen, ss.RandomStream(0, "t"))
         threads = threading.active_count()
         with pytest.raises(FloatingPointError, match=f"station {failing}"):
             ss.gen_csi_streams(scen, traj, ss.RandomStream(0, "s"))
         assert threading.active_count() == threads
-        assert sorted(started) == list(range(6))
+        assert sorted(started) == list(range(len(started)))
+        return sorted(started)
 
     def test_one_station_holds_its_values_plus_one_noise_block(self):
         # the noise goes in by row blocks: a whole float64 draw would be half

@@ -60,11 +60,8 @@ def cmd_simulate(args):
         )
         for d in range(cfg.scenario.n_stations):
             s = station(d)
-            for t, v in zip(s.timestamps, s.values):
-                row = [s.station, repr(float(t))]
-                for z in v:
-                    row += [repr(float(z.real)), repr(float(z.imag))]
-                w.writerow(row)
+            frames = zip(s.timestamps.tolist(), s.values.view(np.float64))  # a row: re0, im0, re1, im1, ...
+            w.writerows([s.station, repr(t), *v.tolist()] for t, v in frames)
     probe = np.arange(0.0, cfg.scenario.duration_s, 0.1)
     pos = traj.position(probe)
     with open(out / "trajectory.csv", "w", newline="") as f:
@@ -169,21 +166,12 @@ def cmd_pca_export(args):
             x[:, mask_to_k:, :] = 0.0  # fixed combination: first k stations kept
         if fx is None:
             return x.reshape(d.n, -1)
-        return fx.embed(x, "eval")
+        return fx.embed(x)
 
     tr_vec = vectors(train, None)
-    rows = []
-    for k in args.k:
-        _, te_proj = pca_export(tr_vec, vectors(test, k))
-        for i in range(test.n):
-            rows.append(
-                {
-                    "pc1": float(te_proj[i, 0]),
-                    "pc2": float(te_proj[i, 1]),
-                    "label": float(test.labels[i]) if test.labeled else "",
-                    "availability": k,
-                }
-            )
+    labels = test.labels.tolist() if test.labeled else [""] * test.n
+    rows = [{"pc1": pc1, "pc2": pc2, "label": label, "availability": k} for k in args.k
+            for (pc1, pc2), label in zip(pca_export(tr_vec, vectors(test, k))[1].tolist(), labels)]
     _write_dicts_csv(rows, ["pc1", "pc2", "label", "availability"], args.out)
     print(f"wrote {len(rows)} projected points to {args.out}")
 

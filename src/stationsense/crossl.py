@@ -18,7 +18,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from .core import RandomStream, _Lanes, sample_mask_matrix
-from .nnkit import FitResult, HeldStats, MlpStack, TrainConfig, fit_loop, mlp_blocks
+from .nnkit import DROPOUT_RATE, FitResult, HeldStats, MlpStack, TrainConfig, fit_loop, mlp_blocks
 from .pipeline import Dataset
 
 
@@ -43,7 +43,7 @@ def _check_batch(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def vicreg_variance_grad(z, gamma: float = 1.0, epsilon: float = 1e-4):
+def vicreg_variance_grad(z, gamma: float = VicregWeights.gamma, epsilon: float = VicregWeights.epsilon):
     """Hinge on the regularized per-dimension std: (1/l) sum_j max(0, gamma -
     sqrt(Var(z_:,j) + eps)). Var is the unbiased (1/(n-1)) estimator.
     Returns (value, d value / dz)."""
@@ -151,9 +151,10 @@ class FeatureExtractor:
         dflat, grads = self.aggregator.backward(caches, dz)
         return dflat.reshape(-1, self.n_stations, self.encoder_dim), grads
 
-    def embed(self, xb: np.ndarray, mode: str = "eval", rng: Optional[RandomStream] = None) -> np.ndarray:
-        q, _ = self.encode_batch(xb, mode, rng.child("enc") if rng else None)
-        z, _ = self.aggregate_batch(q, mode, rng.child("agg") if rng else None)
+    def embed(self, xb: np.ndarray) -> np.ndarray:
+        """(n, N_d, K) -> (n, embedding_dim) embeddings, in inference mode."""
+        q, _ = self.encode_batch(xb, "eval", None)
+        z, _ = self.aggregate_batch(q, "eval", None)
         return z
 
     def params(self) -> Dict[str, np.ndarray]:
@@ -184,7 +185,7 @@ def build_extractor(
     embedding_dim: int = 64,
     aggregator_hidden: Tuple[int, int] = (256, 128),
     encoder_widths: Optional[Tuple[int, ...]] = None,
-    dropout_rate: float = 0.3,
+    dropout_rate: float = DROPOUT_RATE,
 ) -> FeatureExtractor:
     """Identity station encoders by default (inputs are already aggregated
     amplitude vectors); set encoder_widths for learnable per-station MLPs,
@@ -228,7 +229,7 @@ def pretrain(
         raise ValueError("pre-training requires at least 2 unlabeled samples")
     if not (0.0 <= p_mask <= 1.0):
         raise ValueError(f"p_mask must be in [0, 1], got {p_mask}")
-    x_all = unlabeled.x.astype(np.float32)
+    x_all = np.asarray(unlabeled.x, np.float32)
 
     def step(idx, srng):
         q, enc_caches = fx.encode_batch(x_all[idx], "train", srng.child("enc"))

@@ -13,6 +13,7 @@ import numpy as np
 from .core import RandomStream, sample_mask_matrix
 from .crossl import FeatureExtractor, build_extractor
 from .nnkit import (
+    DROPOUT_RATE,
     BatchNorm,
     CheckpointError,
     Dense,
@@ -113,7 +114,7 @@ class SensingModel:
         if self.extractor is None:
             feats = xb.reshape(xb.shape[0], -1)
         else:
-            feats = self.extractor.embed(xb, "eval")
+            feats = self.extractor.embed(xb)
         out, _ = self.head.forward(feats, "eval", None)
         return out[:, 0]
 
@@ -140,9 +141,9 @@ def train_downstream(
         labeled.n_stations != model.extractor.n_stations or labeled.k != model.extractor.input_dim
     ):
         raise ValueError("dataset shape incompatible with extractor manifest")
-    x = labeled.x.astype(np.float32)
+    x = np.asarray(labeled.x, np.float32)
     missing = labeled.missing
-    y = labeled.labels.astype(np.float32)[:, None]
+    y = np.asarray(labeled.labels, np.float32)[:, None]
 
     if aug.kind != "none" and aug.strategy == "offline_double":
         x_aug = _apply_augment_batch(x, missing, aug, rng.child("offline_aug"))
@@ -176,7 +177,7 @@ def train_downstream(
             q, enc_caches = fx.encode_batch(xb, "train", srng.child("enc"))
             feats, agg_caches = fx.aggregate_batch(q, "train", srng.child("agg"))
         else:
-            feats = fx.embed(xb, "eval")
+            feats = fx.embed(xb)
         pred, head_caches = model.head.forward(feats, "train", srng.child("head"))
         loss, dpred = mse_loss(pred, y[idx])
         dfeats, grads = model.head.backward(head_caches, dpred, input_grad=joint)
@@ -259,7 +260,7 @@ class DaeModel:
 
     def reconstruct(self, xb: np.ndarray) -> np.ndarray:
         """(n, N_d, K) -> (n, N_d, K) reconstruction, inference mode."""
-        z = self.extractor.embed(np.asarray(xb, dtype=np.float32), "eval")
+        z = self.extractor.embed(np.asarray(xb, dtype=np.float32))
         flat, _ = self.decoder.forward(z, "eval", None)
         return flat.reshape(xb.shape)
 
@@ -283,11 +284,11 @@ def train_dae(
             Dense("dec.d0", embedding_dim, 128, drng.child("d0")),
             Relu("dec.relu"),
             BatchNorm("dec.bn", 128),
-            Dropout("dec.drop", 0.3),
+            Dropout("dec.drop", DROPOUT_RATE),
             Dense("dec.d1", 128, n_d * k, drng.child("d1")),
         ]
     )
-    x_all = unlabeled.x.astype(np.float32)
+    x_all = np.asarray(unlabeled.x, np.float32)
     params = dict(fx.params())
     params.update(decoder.params())
     buffers = dict(fx.buffers())
@@ -332,12 +333,9 @@ class InpaintingModel:
         self.base = base
         self.reconstructor = reconstructor
 
-    def predict(self, xb: np.ndarray, missing: Optional[np.ndarray] = None) -> np.ndarray:
+    def predict(self, xb: np.ndarray) -> np.ndarray:
         xb = np.asarray(xb, dtype=np.float32)
-        if missing is None:
-            # infer missingness from all-zero station rows
-            missing = np.all(xb == 0.0, axis=2)
-        return self.base.predict(inpaint_batch(self.reconstructor, xb, missing))
+        return self.base.predict(inpaint_batch(self.reconstructor, xb, np.all(xb == 0.0, axis=2)))
 
 
 # ---------------------------------------------------------------------------

@@ -93,10 +93,10 @@ class TrainSettings:
     aggregator_hidden: Tuple[int, int] = (256, 128)
     encoder_widths: Optional[Tuple[int, ...]] = None  # None = identity encoders
     p_mask_crossl: float = 0.5
-    p_mask_sma: float = 0.5
+    p_mask_sma: float = AugmentConfig.p_mask
     mode: str = "frozen"  # frozen | joint
-    aug_strategy: str = "offline_double"
-    p_aug: float = 0.5
+    aug_strategy: str = AugmentConfig.strategy
+    p_aug: float = AugmentConfig.p_aug
     naive_variant: str = "office"
 
     def __post_init__(self):
@@ -105,6 +105,9 @@ class TrainSettings:
                 raise ValueError(f"unknown {name} {getattr(self, name)!r}, expected one of {allowed}")
         if not 0.0 <= self.p_mask_crossl <= 1.0:
             raise ValueError(f"p_mask_crossl must be in [0, 1], got {self.p_mask_crossl}")
+        widths = (self.embedding_dim, *self.aggregator_hidden, *(self.encoder_widths or ()))
+        if min(widths) < 1:
+            raise ValueError(f"layer widths must be at least 1, got {widths}")
         # the objects training builds from these values check them at load
         AugmentConfig(kind="sma", p_mask=self.p_mask_sma, p_aug=self.p_aug, strategy=self.aug_strategy)
         replace(self.pretrain, learning_rate=self.dae_lr)

@@ -33,6 +33,7 @@ BN_EPS = 1e-5
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+DROPOUT_RATE = 0.3  # every dropout layer the training recipes build
 
 
 class TrainingDiverged(RuntimeError):
@@ -97,9 +98,6 @@ class Dense:
             return None, grads
         return dy @ np.swapaxes(self.params["w"], -1, -2), grads
 
-    def spec(self):
-        return {"kind": self.kind, "name": self.name, "n_in": self.n_in, "n_out": self.n_out}
-
 
 class Relu:
     kind = "relu"
@@ -115,9 +113,6 @@ class Relu:
 
     def backward(self, cache, dy):
         return dy * (cache > 0), {}  # 0 subgradient at the kink
-
-    def spec(self):
-        return {"kind": self.kind, "name": self.name}
 
 
 class BatchNorm:
@@ -180,9 +175,6 @@ class BatchNorm:
         dx /= std
         return dx, grads
 
-    def spec(self):
-        return {"kind": self.kind, "name": self.name, "width": self.width}
-
 
 class Dropout:
     """Inverted dropout. In a grouped stack `rng` is one stream per group and
@@ -218,9 +210,6 @@ class Dropout:
             return dy, {}
         return dy * cache, {}
 
-    def spec(self):
-        return {"kind": self.kind, "name": self.name, "rate": self.rate}
-
 
 class HeldStats:
     """The running-statistic updates of train-mode batch-norm forwards given
@@ -237,7 +226,8 @@ class HeldStats:
         self.updates.clear()
 
 
-# spec kind -> layer class and the spec fields its constructor takes after the name
+# spec kind -> layer class and the fields its constructor takes after the name,
+# which a layer's spec holds after its kind and name
 _LAYER_KINDS = {
     "dense": (Dense, ("n_in", "n_out")),
     "relu": (Relu, ()),
@@ -357,7 +347,8 @@ class MlpStack:
         return clone
 
     def manifest(self) -> list:
-        return [layer.spec() for layer in self.layers]
+        return [{"kind": layer.kind, "name": layer.name,
+                 **{f: getattr(layer, f) for f in _LAYER_KINDS[layer.kind][1]}} for layer in self.layers]
 
     def manifests(self) -> list:
         """One manifest per member of a grouped stack."""
@@ -379,7 +370,7 @@ def mlp_blocks(
     n_in: int,
     widths: List[int],
     rng: RandomStream,
-    dropout_rate: float = 0.3,
+    dropout_rate: float = DROPOUT_RATE,
     dtype=np.float32,
 ) -> MlpStack:
     """Repeated (dense -> ReLU -> batch-norm -> dropout) blocks."""
@@ -474,11 +465,12 @@ def fit_loop(
     n_samples: int,
     config: TrainConfig,
     rng: RandomStream,
-    buffers: Optional[Dict[str, np.ndarray]] = None,
+    buffers: Dict[str, np.ndarray],
 ) -> FitResult:
     """Generic mini-batch loop: shuffled batches (last partial kept), Adam
     updates, early stop when the epoch-mean training loss fails to improve
-    for `patience` consecutive epochs, best-epoch parameters restored. It runs
+    for `patience` consecutive epochs, best-epoch parameters and buffers
+    (the batch-norm running statistics) restored. It runs
     with OpenBLAS on one thread (`core._one_blas_thread`, process-wide), and
     the caller's count is back when it returns or raises."""
     if n_samples < 1:
@@ -488,8 +480,8 @@ def fit_loop(
         history: List[float] = []
         best_loss = np.inf
         best_epoch = -1
-        best_params = None
-        best_buffers = None
+        tracked = [*params.values(), *buffers.values()]
+        best = None
         stale = 0
         for epoch in range(config.max_epochs):
             erng = rng.child(f"epoch{epoch}")
@@ -507,18 +499,14 @@ def fit_loop(
             if epoch_loss < best_loss:
                 best_loss = epoch_loss
                 best_epoch = epoch
-                best_params = {k: v.copy() for k, v in params.items()}
-                best_buffers = None if buffers is None else {k: v.copy() for k, v in buffers.items()}
+                best = [a.copy() for a in tracked]
                 stale = 0
             else:
                 stale += 1
                 if stale >= config.patience:
                     break
-        for k, p in params.items():
-            p[...] = best_params[k]
-        if buffers is not None:
-            for k, b in buffers.items():
-                b[...] = best_buffers[k]
+        for a, saved in zip(tracked, best):
+            a[...] = saved
         return FitResult(history=history, best_epoch=best_epoch, best_loss=best_loss)
 
 

@@ -24,10 +24,20 @@ DEGENERATE_POWER_FLOOR = 1e-12
 DEFAULT_DROP_64 = frozenset(range(0, 6)) | {32} | frozenset(range(59, 64))
 
 
-def default_keep_list(k_raw: int = 64) -> list:
+def default_keep_list(k_raw: int = Scenario.k_raw) -> list:
     if k_raw == 64:
         return [i for i in range(64) if i not in DEFAULT_DROP_64]
     return list(range(k_raw))
+
+
+def split_counts(n: int, ratios: Tuple[float, float, float]) -> Tuple[int, int, int]:
+    """Train, val and test sizes of n windows split by `ratios`, which must be
+    >= 0 with a positive sum, or ValueError is raised."""
+    if min(ratios) < 0 or sum(ratios) <= 0:
+        raise ValueError(f"split ratios must be >= 0 with a positive sum, got {ratios}")
+    n_train = int(n * ratios[0] / sum(ratios))
+    n_val = int(n * ratios[1] / sum(ratios))
+    return n_train, n_val, n - n_train - n_val
 
 
 @dataclass(frozen=True)
@@ -52,8 +62,7 @@ class WindowingConfig:
         self.unlabeled_spec()
         if self.ssl_rate_hz <= self.label_rate_hz:
             raise ValueError(f"SSL rate {self.ssl_rate_hz} Hz must exceed label rate {self.label_rate_hz} Hz")
-        if min(self.split_ratios) < 0 or sum(self.split_ratios) <= 0:
-            raise ValueError(f"split ratios must be >= 0 with a positive sum, got {self.split_ratios}")
+        split_counts(0, self.split_ratios)  # checks the ratios
 
     def labeled_spec(self) -> WindowSpec:
         return WindowSpec(self.width_s, self.label_rate_hz)
@@ -258,12 +267,6 @@ def _scan_window_means(amps: np.ndarray, lo: np.ndarray, count: np.ndarray, out:
                 out[bw[a:c]] = total[slot[a:c]] / j
 
 
-def split_counts(n: int, ratios: Tuple[float, float, float]) -> Tuple[int, int, int]:
-    n_train = int(n * ratios[0] / sum(ratios))
-    n_val = int(n * ratios[1] / sum(ratios))
-    return n_train, n_val, n - n_train - n_val
-
-
 def _labeled_splits(x, missing, centers, traj, split_ratios) -> Tuple[Dataset, Dataset, Dataset]:
     """Train, val and test: time-contiguous views of the first len(centers)
     rows of x and missing, labeled from `traj`."""
@@ -282,10 +285,12 @@ def build_labeled_dataset(
     spec: WindowSpec,
     split_ratios: Tuple[float, float, float] = WindowingConfig.split_ratios,
 ) -> Tuple[Dataset, Dataset, Dataset]:
-    """Windowed, labeled samples split time-contiguously into train/val/test."""
+    """Windowed, labeled samples split time-contiguously into train/val/test.
+    Bad split ratios raise ValueError before any station is windowed."""
     if not streams:
         raise ValueError("no streams")
     centers = _reference_centers(traj.duration_s, spec)
+    split_counts(len(centers), split_ratios)
     x, missing = _window_raw(streams, centers, spec)
     return _labeled_splits(x, missing, centers, traj, split_ratios)
 

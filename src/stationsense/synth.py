@@ -75,8 +75,8 @@ class Scenario:
     scatter_coeff: float = 0.6
 
     def __post_init__(self):
-        if self.n_stations < 1:
-            raise ValueError(f"n_stations must be at least 1, got {self.n_stations}")
+        if self.n_stations < 1 or self.k_raw < 1:
+            raise ValueError(f"n_stations and k_raw must be at least 1, got {self.n_stations} and {self.k_raw}")
         if self.station_positions is None:
             object.__setattr__(
                 self,
@@ -100,36 +100,27 @@ class Scenario:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Smooth back-and-forth walk; position(t) in meters, label(t) = x/x_max."""
+    """Smooth back-and-forth walk; position(t) in meters, label(t) = x/x_max.
+    Each axis (row 0 x, row 1 y of the (2, 2) tables) is the room's centre
+    plus a sum of two sinusoids."""
 
-    x_max: float
-    y_max: float
+    extent: Tuple[float, float]  # the room's (x_max, y_max)
     duration_s: float
-    x_center: float
-    x_amps: np.ndarray
-    x_periods: np.ndarray
-    x_phases: np.ndarray
-    y_center: float
-    y_amps: np.ndarray
-    y_periods: np.ndarray
-    y_phases: np.ndarray
+    amps: np.ndarray
+    periods: np.ndarray
+    phases: np.ndarray
 
     def position(self, t) -> np.ndarray:
         """(…, 2) positions for scalar or vector t."""
         t = np.asarray(t, dtype=float)
-        x = self.x_center + sum(
-            a * np.sin(2 * np.pi * t / p + ph)
-            for a, p, ph in zip(self.x_amps, self.x_periods, self.x_phases)
-        )
-        y = self.y_center + sum(
-            a * np.sin(2 * np.pi * t / p + ph)
-            for a, p, ph in zip(self.y_amps, self.y_periods, self.y_phases)
-        )
-        return np.stack([x, y], axis=-1)
+        return np.stack([
+            0.5 * size + sum(a * np.sin(2 * np.pi * t / p + ph) for a, p, ph in zip(*axis))
+            for size, *axis in zip(self.extent, self.amps, self.periods, self.phases)
+        ], axis=-1)
 
     def label(self, t):
         pos = self.position(t)
-        return pos[..., 0] / self.x_max
+        return pos[..., 0] / self.extent[0]
 
 
 @dataclass(frozen=True)
@@ -146,28 +137,14 @@ def gen_trajectory(scenario: Scenario, rng: RandomStream) -> Trajectory:
     """Sum of low-frequency sinusoids with randomized phases/periods, confined
     to the room; the x span is kept well inside [0, x_max] so labels resemble
     the mid-room range of a real walk."""
-    x_max, y_max = scenario.room_extent
     g = rng.child("trajectory")
     # dominant slow sweep plus a faster small wobble; amplitudes sum < half-extent
-    x_amps = np.array([0.34, 0.06]) * x_max
-    x_periods = np.array([g.uniform(35.0, 55.0), g.uniform(11.0, 17.0)])
-    x_phases = g.uniform(0, 2 * np.pi, 2)
-    y_amps = np.array([0.25, 0.05]) * y_max
-    y_periods = np.array([g.uniform(50.0, 80.0), g.uniform(13.0, 19.0)])
-    y_phases = g.uniform(0, 2 * np.pi, 2)
-    return Trajectory(
-        x_max=x_max,
-        y_max=y_max,
-        duration_s=scenario.duration_s,
-        x_center=0.5 * x_max,
-        x_amps=x_amps,
-        x_periods=x_periods,
-        x_phases=x_phases,
-        y_center=0.5 * y_max,
-        y_amps=y_amps,
-        y_periods=y_periods,
-        y_phases=y_phases,
-    )
+    amps = np.array([[0.34, 0.06], [0.25, 0.05]]) * np.array(scenario.room_extent)[:, None]
+    periods, phases = [], []
+    for ranges in (((35.0, 55.0), (11.0, 17.0)), ((50.0, 80.0), (13.0, 19.0))):  # x, then y
+        periods.append([g.uniform(*r) for r in ranges])
+        phases.append(g.uniform(0, 2 * np.pi, 2))
+    return Trajectory(scenario.room_extent, scenario.duration_s, amps, np.array(periods), np.array(phases))
 
 
 def channel_response(positions, station: int, scenario: Scenario) -> np.ndarray:

@@ -1,8 +1,11 @@
-"""The public API of `stationsense`, the leaves of its YAML configuration and
-the flags of its command line, pinned name by name: adding or removing a
-public name, a knob or a flag needs an edit here."""
+"""The public API of `stationsense`, its defaulted parameters, the leaves of
+its YAML configuration and the flags of its command line, pinned name by
+name: adding or removing a public name, a library option, a knob or a flag
+needs an edit here."""
 
 import argparse
+import dataclasses
+import inspect
 import types
 
 import stationsense as ss
@@ -23,6 +26,27 @@ PUBLIC_NAMES = [
     "sample_mask_matrix", "save_checkpoint", "save_dataset", "train_dae", "train_downstream",
     "train_ensemble", "train_method", "vicreg_loss_grads",
     "write_metrics_csv", "write_summary_csv",
+]
+
+# "callable.parameter" for every parameter with a default of a public
+# function, or of the constructor or a public method of a public class. A
+# dataclass's fields are its data, and RunConfig's are pinned as YAML leaves.
+DEFAULTED_PARAMETERS = [
+    "ConstantModel.__init__.value", "FeatureExtractor.__init__.encoders",
+    "FeatureExtractor.aggregate_batch.held", "MlpStack.__init__.members",
+    "MlpStack.backward.input_grad", "MlpStack.forward.held", "MlpStack.forward.mode",
+    "MlpStack.forward.rng", "RandomStream.__init__.label", "RandomStream.exponential.scale",
+    "RandomStream.exponential.size", "RandomStream.integers.high", "RandomStream.integers.size",
+    "RandomStream.normal.loc", "RandomStream.normal.scale", "RandomStream.normal.size",
+    "RandomStream.random.size", "RandomStream.uniform.high", "RandomStream.uniform.low",
+    "RandomStream.uniform.size", "SensingModel.__init__.mode", "build_extractor.aggregator_hidden",
+    "build_extractor.dropout_rate", "build_extractor.embedding_dim",
+    "build_extractor.encoder_widths", "build_labeled_dataset.split_ratios",
+    "default_keep_list.k_raw", "eval_at_availability.n_draws", "eval_at_availability.policy",
+    "eval_at_availability.rng", "finite_diff_check.h", "finite_diff_check.n_coords",
+    "finite_diff_check.rng", "load_checkpoint.kind", "run_grid.out_dir",
+    "run_masking_heatmap.extractor_cache", "run_masking_heatmap.out_path", "save_checkpoint.meta",
+    "train_dae.embedding_dim", "train_method.extractor", "train_method.extractor_cache",
 ]
 
 YAML_LEAVES = [
@@ -65,6 +89,26 @@ def test_public_names_are_pinned():
     )
     assert names == PUBLIC_NAMES
     assert len(names) == 63
+
+
+def test_defaulted_parameters_are_pinned():
+    def defaulted(owner, fn):
+        params = inspect.signature(fn).parameters.values()
+        return [f"{owner}.{p.name}" for p in params if p.default is not inspect.Parameter.empty]
+
+    found = []
+    for name in PUBLIC_NAMES:
+        obj = getattr(ss, name)
+        if not inspect.isclass(obj):
+            found += defaulted(name, obj) if callable(obj) else []
+            continue
+        if "__init__" in vars(obj) and not dataclasses.is_dataclass(obj):
+            found += defaulted(f"{name}.__init__", obj.__init__)
+        for attr in vars(obj):
+            if not attr.startswith("_") and inspect.isroutine(getattr(obj, attr)):
+                found += defaulted(f"{name}.{attr}", getattr(obj, attr))
+    assert sorted(found) == DEFAULTED_PARAMETERS
+    assert len(found) == 41
 
 
 def test_yaml_leaves_are_pinned():

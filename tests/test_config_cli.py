@@ -75,16 +75,19 @@ class TestConfig:
          {"windowing": {"width_s": -1}}, {"windowing": {"label_rate_hz": 0}},
          {"windowing": {"label_rate_hz": -2.0, "ssl_rate_hz": -1.0}},
          {"scenario": {"outage": {"mean_gap_s": -60.0}}}, {"scenario": {"outage": {"mean_len_s": -5.0}}},
-         {"scenario": {"noise_std": -0.01}}, {"scenario": {"n_stations": 0}}],
+         {"scenario": {"noise_std": -0.01}}, {"scenario": {"n_stations": 0}},
+         {"training": {"embedding_dim": 0}}, {"training": {"aggregator_hidden": [0, 8]}},
+         {"training": {"encoder_widths": [0]}}, {"scenario": {"k_raw": 0}}, {"scenario": {"k_raw": -3}}],
         ids=["mode", "aug_strategy", "naive_variant", "ssl_rate", "zero_ratios", "negative_ratio",
              "p_mask_sma", "p_mask_crossl", "p_aug", "dae_lr", "width", "zero_label_rate",
              "negative_rates", "negative_gap", "negative_outage_len", "negative_noise",
-             "no_stations"],
+             "no_stations", "zero_embedding", "zero_aggregator_width", "zero_encoder_width",
+             "zero_subcarriers", "negative_subcarriers"],
     )
     def test_bad_values_raise_at_load(self, doc):
-        # a bad string, rate, windowing or scenario fails when the YAML
-        # loads, not part-way through a sweep, a simulation or a dataset
-        # build, and not silently
+        # a bad string, rate, windowing, layer width or scenario fails when
+        # the YAML loads, not part-way through a sweep, a simulation, a
+        # dataset build or a training run, and not silently
         with pytest.raises(ValueError):
             config_from_dict(doc)
 

@@ -527,8 +527,10 @@ class TestExtractorCheckpoint:
     def test_round_trip_identical_embeddings(self, tmp_path, small_datasets):
         unlabeled = small_datasets[3]
         fx = ss.build_extractor(unlabeled.n_stations, unlabeled.k, ss.RandomStream(0, "ck"))
-        # move BN buffers off defaults
-        fx.embed(unlabeled.x[:32].astype(np.float32), "train", ss.RandomStream(0, "w"))
+        # a train-mode pass moves the BN buffers off their defaults
+        warm = ss.RandomStream(0, "w")
+        q, _ = fx.encode_batch(unlabeled.x[:32].astype(np.float32), "train", warm.child("enc"))
+        fx.aggregate_batch(q, "train", warm.child("agg"))
         p = tmp_path / "fx.ck"
         ss.save_checkpoint(fx, p, meta={"note": "test"})
         back = ss.load_checkpoint(p, "feature_extractor")

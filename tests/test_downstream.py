@@ -396,12 +396,13 @@ class TestInpaintingModel:
         model = ss.InpaintingModel(base, dae)
         x = test.x[:1].copy()
         x[:, 1, :] = 0.0
+        # the stations predict takes as missing, its all-zero rows, are the
+        # dataset's missing ones plus the one zeroed here
         missing = test.missing[:1].copy()
         missing[0, 1] = True
-        v = model.predict(x, missing)
+        np.testing.assert_array_equal(np.all(x == 0.0, axis=2), missing)
+        v = model.predict(x)
         assert v.shape == (1,) and np.isfinite(v[0])
-        # flags inferred from the all-zero row give the same prediction
-        np.testing.assert_array_equal(model.predict(x), v)
         np.testing.assert_array_equal(v, base.predict(inpaint_batch(dae, x, missing)))
 
 
@@ -547,9 +548,11 @@ class TestCheckpointCodec:
         rng = ss.RandomStream(seed, "rt")
         fx = ss.build_extractor(n_d, k, rng.child("fx"), embedding_dim=3, aggregator_hidden=(4, 5),
                                 encoder_widths=None if enc is None else (enc,))
-        # move the BN buffers off their initial values
-        fx.embed(np.random.default_rng(seed).random((6, n_d, k)).astype(np.float32), "train",
-                 rng.child("warm"))
+        # a train-mode pass moves the BN buffers off their initial values
+        warm = rng.child("warm")
+        q, _ = fx.encode_batch(np.random.default_rng(seed).random((6, n_d, k)).astype(np.float32), "train",
+                               warm.child("enc"))
+        fx.aggregate_batch(q, "train", warm.child("agg"))
         obj = fx
         if with_fx:
             obj = ss.SensingModel(fx, ss.build_head(3, rng.child("head")), "frozen")

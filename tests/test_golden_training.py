@@ -87,8 +87,9 @@ class TestGoldenTraining:
     def test_eval_embed(self):
         fx = _extractor()
         x = _dataset("test", False).x
-        fx.embed(x, "train", ss.RandomStream(0, "golden/warm"))  # move the BN buffers
-        z = fx.embed(x[:17], "eval")
+        warm = ss.RandomStream(0, "golden/warm")  # a train-mode pass moves the BN buffers
+        fx.aggregate_batch(fx.encode_batch(x, "train", warm.child("enc"))[0], "train", warm.child("agg"))
+        z = fx.embed(x[:17])
         assert z.dtype == np.float32 and z.shape == (17, 8)
         assert _digest(0.0, {"z": z, **fx.buffers()}) == self.GOLDEN_SHA256["embed"]
 

@@ -338,7 +338,7 @@ class TestFitLoop:
             p["w"][0] = e  # mutate params so restoration is observable
             return losses[min(e, len(losses) - 1)], {}
 
-        res = fit_loop(p, step, 4, TrainConfig(0.1, 4, 100, 3), _rng("es"))
+        res = fit_loop(p, step, 4, TrainConfig(0.1, 4, 100, 3), _rng("es"), {})
         assert res.best_epoch == 1
         assert res.best_loss == 1.0
         assert len(res.history) == 5  # stopped after 3 stale epochs
@@ -349,7 +349,7 @@ class TestFitLoop:
             return float("nan"), {}
 
         with pytest.raises(TrainingDiverged):
-            fit_loop({"w": np.array([0.0])}, step, 4, TrainConfig(0.1, 4, 10, 2), _rng("d"))
+            fit_loop({"w": np.array([0.0])}, step, 4, TrainConfig(0.1, 4, 10, 2), _rng("d"), {})
 
     def test_last_partial_batch_included(self):
         seen = []
@@ -358,7 +358,7 @@ class TestFitLoop:
             seen.append(len(idx))
             return 1.0, {}
 
-        fit_loop({"w": np.array([0.0])}, step, 10, TrainConfig(0.1, 4, 2, 1), _rng("b"))
+        fit_loop({"w": np.array([0.0])}, step, 10, TrainConfig(0.1, 4, 2, 1), _rng("b"), {})
         assert seen[:3] == [4, 4, 2]
 
     def test_deterministic_given_seed(self):
@@ -392,10 +392,10 @@ class TestFitLoop:
 
         set_(2)
         try:
-            fit_loop({"w": np.array([0.0])}, step, 4, TrainConfig(0.1, 4, 2, 1), _rng("pin"))
+            fit_loop({"w": np.array([0.0])}, step, 4, TrainConfig(0.1, 4, 2, 1), _rng("pin"), {})
             assert get() == 2
             with pytest.raises(TrainingDiverged):
-                fit_loop({"w": np.array([0.0])}, diverge, 4, TrainConfig(0.1, 4, 2, 1), _rng("pin"))
+                fit_loop({"w": np.array([0.0])}, diverge, 4, TrainConfig(0.1, 4, 2, 1), _rng("pin"), {})
             assert get() == 2
         finally:
             set_(before)

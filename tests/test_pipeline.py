@@ -315,6 +315,19 @@ class TestSplitCounts:
         assert default == ss.WindowingConfig().split_ratios
         assert default is ss.WindowingConfig.split_ratios
 
+    @pytest.mark.parametrize("ratios", [(0, 0, 0), (7, -1, 1.5)], ids=["zero_sum", "negative"])
+    def test_labeled_builder_rejects_bad_ratios_before_windowing(self, small_run, monkeypatch, ratios):
+        # (0, 0, 0) used to die dividing by zero, and (7, -1, 1.5) to give
+        # train and test splits that share windows
+        _, traj, streams = small_run
+
+        def windowed(*args):
+            raise AssertionError("a station was windowed")
+
+        monkeypatch.setattr(pipeline, "preprocess_stream", windowed)
+        with pytest.raises(ValueError, match="split ratios"):
+            ss.build_labeled_dataset(streams, traj, ss.WindowSpec(2.0, 4.0), ratios)
+
 
 def _window_digest(d: ss.Dataset) -> str:
     h = hashlib.sha256(np.ascontiguousarray(d.x).data)
